@@ -4,7 +4,7 @@
 //   2. Eq. (1) decay weight (1/8 vs alternatives)
 //   3. log-structured vs in-place SSD cache writes (emulated by forcing
 //      random placement through a tiny segment size)
-//   4. CFQ vs Elevator vs Noop on the data-server disks
+//   4. CFQ anticipation window (disk idling) sweep
 //   5. write-back daemon on/off (drain-only)
 #include "bench/bench_common.hpp"
 

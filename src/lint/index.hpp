@@ -17,15 +17,10 @@
 //     make_shared, malloc-family, and container-growth member calls) inside
 //     each function body;
 //   * the resolved project #include edges.
-//
-// The index serializes to a deterministic line-based text format
-// ("ibridge-lint-index-v1", see serialize_index) that the tool writes via
-// --index-cache and CI uploads as an artifact; parse_index round-trips it.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -130,15 +125,5 @@ struct Index {
 /// in the given order (lint_tree / load_tree sort them), and every list is
 /// emitted in scan order.
 Index build_index(const std::vector<SourceFile>& files);
-
-/// The index as "ibridge-lint-index-v1" text: one record per line, sorted
-/// where the source order is not already canonical.  Reasons/payloads are
-/// not serialized (they live in the source and the suppression audit), so
-/// serialize(parse(serialize(x))) == serialize(x) holds byte-for-byte.
-std::string serialize_index(const Index& index);
-
-/// Parses serialize_index output.  Returns nullopt on a malformed or
-/// wrong-version cache.
-std::optional<Index> parse_index(const std::string& text);
 
 }  // namespace ibridge::lint

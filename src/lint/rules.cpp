@@ -538,10 +538,10 @@ void check_ssd_fault_hook(const SourceFile& f, Diags& out) {
 // -------------------------------------------------------- bounded metrics ----
 
 /// stats::Histogram keeps every sample — O(n) memory that grows for the
-/// whole run.  src/stats and src/obs own it (the sketch/reservoir backends
-/// and the registry's HistogramCell wrap it there); everywhere else in src/
-/// a distribution must go through MetricsRegistry::histogram(), whose
-/// per-metric policy can bound memory.  `// lint: obs-bounded-ok (reason)`
+/// whole run.  src/stats and src/obs own it (the sketch backend and the
+/// registry's HistogramCell wrap it there); everywhere else in src/ a
+/// distribution must go through MetricsRegistry::histogram(), whose
+/// default policy can bound memory.  `// lint: obs-bounded-ok (reason)`
 /// escapes the rare deliberate exact accumulator.
 void check_obs_bounded(const SourceFile& f, Diags& out) {
   if (!starts_with(f.rel, "src/")) return;
@@ -552,8 +552,8 @@ void check_obs_bounded(const SourceFile& f, Diags& out) {
     if (tok.kind == TokKind::kIdent && tok.text == "Histogram") {
       report(out, f, tok.line, "obs-bounded",
              "stats::Histogram stores every sample (unbounded); use "
-             "MetricsRegistry::histogram() so a bounded policy (sketch/"
-             "reservoir) can apply, or annotate obs-bounded-ok");
+             "MetricsRegistry::histogram() so the bounded sketch policy "
+             "can apply, or annotate obs-bounded-ok");
     }
   }
 }

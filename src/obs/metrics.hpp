@@ -14,14 +14,12 @@
 // All storage is ordered (std::map) so iteration, flattening, and CSV output
 // are deterministic.
 //
-// Distributions go through HistogramCell, which dispatches on a per-metric
+// Distributions go through HistogramCell, which dispatches on the registry's
 // HistogramPolicy: kExact keeps every sample (stats::Histogram, exact
-// percentiles, O(n) memory), kSketch uses the bounded-memory
-// stats::QuantileSketch (guaranteed relative error, exact mergeable), and
-// kReservoir keeps a seeded fixed-size uniform sample.  The default policy
-// is kExact for compatibility; scale runs switch the registry default (or
-// individual metrics) to kSketch — see docs/OBSERVABILITY.md
-// "Bounded-memory mode".
+// percentiles, O(n) memory) and kSketch uses the bounded-memory
+// stats::QuantileSketch (guaranteed relative error, exact mergeable).  The
+// default policy is kExact for compatibility; scale runs switch the registry
+// default to kSketch — see docs/OBSERVABILITY.md "Bounded-memory mode".
 #pragma once
 
 #include <cstdint>
@@ -49,9 +47,8 @@ enum class MetricKind {
 
 /// Storage policy for one distribution metric.
 enum class HistogramPolicy {
-  kExact,      ///< stats::Histogram — every sample kept, exact percentiles
-  kSketch,     ///< stats::QuantileSketch — O(1) memory, bounded rel. error
-  kReservoir,  ///< stats::Reservoir — fixed-size seeded uniform sample
+  kExact,   ///< stats::Histogram — every sample kept, exact percentiles
+  kSketch,  ///< stats::QuantileSketch — O(1) memory, bounded rel. error
 };
 
 /// One distribution metric behind MetricsRegistry::histogram().  Presents
@@ -59,13 +56,8 @@ enum class HistogramPolicy {
 /// according to its policy, fixed at creation.
 class HistogramCell {
  public:
-  explicit HistogramCell(HistogramPolicy policy = HistogramPolicy::kExact,
-                         int buckets_per_octave = 100,
-                         std::size_t reservoir_capacity = 1024,
-                         std::uint64_t reservoir_seed = 0x0b5e55ed)
-      : policy_(policy),
-        sketch_(buckets_per_octave),
-        reservoir_(reservoir_capacity, reservoir_seed) {}
+  explicit HistogramCell(HistogramPolicy policy = HistogramPolicy::kExact)
+      : policy_(policy) {}
 
   HistogramPolicy policy() const { return policy_; }
 
@@ -77,15 +69,12 @@ class HistogramCell {
       case HistogramPolicy::kSketch:
         sketch_.add(x);
         break;
-      case HistogramPolicy::kReservoir:
-        reservoir_.add(x);
-        break;
     }
   }
 
   /// Fold a component-side exact histogram into this cell (the
   /// collect_metrics publication path).  Under kExact this is
-  /// Histogram::merge; bounded policies re-feed the samples one by one.
+  /// Histogram::merge; kSketch re-feeds the samples one by one.
   void merge(const stats::Histogram& h) {
     if (policy_ == HistogramPolicy::kExact) {
       exact_.merge(h);
@@ -100,8 +89,6 @@ class HistogramCell {
         return exact_.count();
       case HistogramPolicy::kSketch:
         return sketch_.count();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.count();
     }
     return 0;
   }
@@ -112,8 +99,6 @@ class HistogramCell {
         return exact_.mean();
       case HistogramPolicy::kSketch:
         return sketch_.mean();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.mean();
     }
     return 0.0;
   }
@@ -124,8 +109,6 @@ class HistogramCell {
         return exact_.min();
       case HistogramPolicy::kSketch:
         return sketch_.min();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.min();
     }
     return 0.0;
   }
@@ -136,8 +119,6 @@ class HistogramCell {
         return exact_.max();
       case HistogramPolicy::kSketch:
         return sketch_.max();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.max();
     }
     return 0.0;
   }
@@ -148,8 +129,6 @@ class HistogramCell {
         return exact_.sum();
       case HistogramPolicy::kSketch:
         return sketch_.sum();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.sum();
     }
     return 0.0;
   }
@@ -160,15 +139,13 @@ class HistogramCell {
         return exact_.percentile(p);
       case HistogramPolicy::kSketch:
         return sketch_.percentile(p);
-      case HistogramPolicy::kReservoir:
-        return reservoir_.percentile(p);
     }
     return 0.0;
   }
 
   double median() const { return percentile(50.0); }
 
-  /// Heap bytes this cell holds — O(samples) under kExact, O(1) otherwise
+  /// Heap bytes this cell holds — O(samples) under kExact, O(1) under kSketch
   /// (bench_obs --check asserts the bound).
   std::size_t memory_bytes() const {
     switch (policy_) {
@@ -176,8 +153,6 @@ class HistogramCell {
         return sizeof(*this) + exact_.count() * sizeof(double);
       case HistogramPolicy::kSketch:
         return sizeof(*this) + sketch_.memory_bytes();
-      case HistogramPolicy::kReservoir:
-        return sizeof(*this) + reservoir_.memory_bytes();
     }
     return sizeof(*this);
   }
@@ -185,7 +160,6 @@ class HistogramCell {
   void clear() {
     exact_.clear();
     sketch_.clear();
-    reservoir_.clear();
   }
 
   /// Typed views; null unless the matching policy is active.
@@ -195,15 +169,11 @@ class HistogramCell {
   const stats::QuantileSketch* sketch() const {
     return policy_ == HistogramPolicy::kSketch ? &sketch_ : nullptr;
   }
-  const stats::Reservoir* reservoir() const {
-    return policy_ == HistogramPolicy::kReservoir ? &reservoir_ : nullptr;
-  }
 
  private:
   HistogramPolicy policy_;
   stats::Histogram exact_;
   stats::QuantileSketch sketch_;
-  stats::Reservoir reservoir_;
 };
 
 class MetricsRegistry {
@@ -214,25 +184,16 @@ class MetricsRegistry {
   /// Point-in-time value; created at zero on first use.
   double& gauge(const std::string& name) { return gauges_[name]; }
 
-  /// Value distribution with percentiles; created empty on first use with
-  /// the per-name policy override if one was set, else the registry
-  /// default.
+  /// Value distribution with percentiles; created empty on first use under
+  /// the registry's default policy.
   HistogramCell& histogram(const std::string& name);
 
-  /// Policy for histograms created after this call (existing non-empty
-  /// cells keep their storage; existing *empty* cells are re-created).
+  /// Policy for histograms created after this call; existing cells keep
+  /// theirs.
   void set_default_histogram_policy(HistogramPolicy p) {
     default_policy_ = p;
   }
   HistogramPolicy default_histogram_policy() const { return default_policy_; }
-
-  /// Per-metric override, same re-creation rule as the default.
-  void set_histogram_policy(const std::string& name, HistogramPolicy p);
-
-  /// Sketch resolution / reservoir size for subsequently created cells.
-  void set_sketch_buckets_per_octave(int b) { buckets_per_octave_ = b; }
-  int sketch_buckets_per_octave() const { return buckets_per_octave_; }
-  void set_reservoir_capacity(std::size_t n) { reservoir_capacity_ = n; }
 
   bool has(const std::string& name) const {
     return counters_.count(name) != 0 || gauges_.count(name) != 0 ||
@@ -271,10 +232,7 @@ class MetricsRegistry {
   std::map<std::string, std::int64_t> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, HistogramCell> histograms_;
-  std::map<std::string, HistogramPolicy> policy_overrides_;
   HistogramPolicy default_policy_ = HistogramPolicy::kExact;
-  int buckets_per_octave_ = 100;
-  std::size_t reservoir_capacity_ = 1024;
 };
 
 /// Periodic snapshots of a metric set: one row per sample time, one column

@@ -8,9 +8,9 @@
 //     erase are recycled by the next insert, so steady-state churn never
 //     touches the global allocator.
 //   * frame_pool() — a thread-local ChunkPool behind sim::Task's promise
-//     operator new/delete, so the coroutine chain client -> server -> cache
-//     -> fsim reuses its frames instead of paying one heap round-trip per
-//     hop per request.
+//     operator new/delete and SimPromise's shared state, so the coroutine
+//     chain client -> server -> cache -> fsim reuses its frames instead of
+//     paying one heap round-trip per hop per request.
 //
 // A ChunkPool keeps per-size-class free lists of chunks obtained from the
 // global allocator.  allocate() pops the matching free list (or falls back
@@ -161,14 +161,39 @@ class PoolAllocator {
 };
 
 /// The coroutine-frame pool of the current thread (sim::Task's promises
-/// allocate and free through it).  Thread-local because exp::Runner workers
-/// each run whole simulations: a frame is always freed on the thread that
-/// allocated it, and must be freed before that thread exits — which the
-/// structured Task/TaskGroup/JoinSet ownership discipline guarantees.
+/// and SimPromise states allocate and free through it).  Thread-local, so a
+/// pool is only ever touched by its own thread.  A chunk is not always freed
+/// on the thread that allocated it: ShardGroup workers and hop() move
+/// coroutines and promise states between threads.  Every free therefore
+/// resolves frame_pool() at free time and pushes onto the freeing thread's
+/// pool; chunks are plain ::operator new blocks, so any pool may adopt one.
 inline ChunkPool& frame_pool() {
-  // lint: shared-ok (one pool per exp::Runner worker thread by design; a frame is always freed on its allocating thread)
+  // lint: shared-ok (thread-local; allocate and free both resolve the calling thread's pool, so no pool is shared across threads)
   thread_local ChunkPool pool;
   return pool;
 }
+
+/// Stateless std-allocator over frame_pool(), resolved on every call, so a
+/// block freed on another thread lands on that thread's pool (see above).
+template <typename T>
+struct FramePoolAllocator {
+  using value_type = T;
+
+  FramePoolAllocator() = default;
+  template <typename U>
+  FramePoolAllocator(const FramePoolAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(frame_pool().allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    frame_pool().deallocate(p, n * sizeof(T));
+  }
+
+  friend bool operator==(const FramePoolAllocator&,
+                         const FramePoolAllocator&) {
+    return true;
+  }
+};
 
 }  // namespace ibridge::sim

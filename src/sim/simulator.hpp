@@ -27,10 +27,6 @@
 //     The InlineEvent payloads live in a slot arena (LIFO free list) that
 //     sifts never touch, so every heap move stays within two tightly packed
 //     arrays instead of shuffling 32-byte padded AoS nodes;
-//   - step_tick() dispatches every event of the current tick as one batch
-//     (the sharded window loop's inner step): the ready slots are pulled
-//     from the heap once, so same-tick bursts — deferred coroutine resumes,
-//     barrier releases — skip interleaved sift_down/push churn;
 //   - reserve() lets long-lived setups (pvfs::Client, cluster::Cluster)
 //     pre-size the event vector and avoid regrowth mid-run.
 #pragma once
@@ -84,7 +80,6 @@ class Simulator {
       heap_slots_.reserve(n);
       slots_.reserve(n);
       free_.reserve(n);
-      ready_.reserve(n);
     }
   }
 
@@ -130,36 +125,6 @@ class Simulator {
     fn();
     ++executed_;
     if (hook_ != nullptr) hook_->on_event_end(now_, keys_.size());
-    return true;
-  }
-
-  /// Run every event of the next pending tick as one batch, in (when, seq)
-  /// order.  Events a callback schedules for the same tick land *after* the
-  /// batch (their sequence numbers are higher), so the execution order is
-  /// byte-identical to repeated step() calls — the batch only skips the
-  /// per-event sift_down/push interleaving.  Returns false when empty.
-  // lint: no-alloc
-  bool step_tick() {
-    if (keys_.empty()) return false;
-    const SimTime t = key_time(keys_[0]);
-    now_ = t;
-    ready_.clear();
-    do {
-      // lint: alloc-ok (ready_ is bounded by the pending-event count, whose capacity reserve() already paid for)
-      ready_.push_back(pop_top());
-    } while (!keys_.empty() && key_time(keys_[0]) == t);
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      const std::uint32_t slot = ready_[i];
-      if (hook_ != nullptr) hook_->on_event_begin(now_);
-      Callback fn = std::move(slots_[slot]);
-      // lint: alloc-ok (LIFO free list is bounded by slots_.size(), whose capacity schedule_at/reserve() already paid for)
-      free_.push_back(slot);
-      fn();
-      ++executed_;
-      if (hook_ != nullptr) {
-        hook_->on_event_end(now_, keys_.size() + (ready_.size() - i - 1));
-      }
-    }
     return true;
   }
 
@@ -305,12 +270,12 @@ class Simulator {
     return keys_.empty() ? SimTime::max() : key_time(keys_[0]);
   }
 
-  /// Drain every event strictly before `end` (batched per tick).  An event
-  /// exactly at `end` belongs to the *next* window — the strict bound is
-  /// what makes cross-shard arrivals (always >= the window end, by the
-  /// lookahead argument in sim/shard.hpp) safe to deliver at the barrier.
+  /// Drain every event strictly before `end`.  An event exactly at `end`
+  /// belongs to the *next* window — the strict bound is what makes
+  /// cross-shard arrivals (always >= the window end, by the lookahead
+  /// argument in sim/shard.hpp) safe to deliver at the barrier.
   void drain_window(SimTime end) {
-    while (!keys_.empty() && key_time(keys_[0]) < end) step_tick();
+    while (!keys_.empty() && key_time(keys_[0]) < end) step();
   }
 
   /// Advance the clock without running anything (window/deadline catch-up).
@@ -332,7 +297,6 @@ class Simulator {
   std::vector<std::uint32_t> heap_slots_; ///< arena slot per heap entry
   std::vector<Callback> slots_;      ///< callables, addressed by heap_slots_
   std::vector<std::uint32_t> free_;  ///< LIFO free list of slot indices
-  std::vector<std::uint32_t> ready_; ///< step_tick()'s same-tick batch
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -153,15 +153,15 @@ class SimFuture {
 template <typename T>
 class SimPromise {
  public:
-  // The one-shot shared state rides the thread's coroutine-frame pool: a
+  // The one-shot shared state rides the coroutine-frame pool: a
   // promise/future pair lives exactly as long as one request, so the node
   // freed at completion is recycled by the next submit and steady-state
-  // request churn never touches the global allocator.  Thread-locality holds
-  // for the same reason it does for Task frames: shards are statically
-  // pinned to workers, so a state is freed on the thread that allocated it.
+  // request churn never touches the global allocator.  The last reference
+  // may drop on another shard's worker, so the allocator resolves
+  // frame_pool() at free time, like Task frames do (sim/mem_pool.hpp).
   explicit SimPromise(Simulator& sim)
       : state_(std::allocate_shared<detail::FutureState<T>>(
-            PoolAllocator<detail::FutureState<T>>(frame_pool()))) {
+            FramePoolAllocator<detail::FutureState<T>>())) {
     state_->sim = &sim;
   }
 

@@ -2,11 +2,11 @@
 //
 // stats::Histogram keeps every sample, so its memory grows O(observations) —
 // fine for a few thousand return estimates, fatal for the million-rank scale
-// campaign (ROADMAP).  This header provides the two bounded alternatives the
-// MetricsRegistry histogram policy dispatches to:
+// campaign (ROADMAP).  This header provides two bounded alternatives:
 //
-//   QuantileSketch — a DDSketch-style log-bucketed sketch with a *guaranteed*
-//     relative error and O(1) worst-case memory.  Unlike the textbook
+//   QuantileSketch — the MetricsRegistry's kSketch histogram policy: a
+//     DDSketch-style log-bucketed sketch with a *guaranteed* relative error
+//     and O(1) worst-case memory.  Unlike the textbook
 //     DDSketch it is parameterized by an integer buckets-per-octave count and
 //     maps values to buckets with a piecewise-linear log2 approximation built
 //     from frexp/ldexp/floor only.  Every operation is an exactly-rounded
@@ -16,8 +16,9 @@
 //     correctly rounded everywhere).
 //
 //   Reservoir — classic Algorithm R uniform sampling, seeded from sim::Rng,
-//     as the fallback when the value distribution is pathological for log
-//     buckets (e.g. signed deltas centered on zero).
+//     for value distributions that are pathological for log buckets (e.g.
+//     signed deltas centered on zero).  bench_obs measures it beside the
+//     sketch; the registry does not offer it as a policy.
 //
 // Both are deterministic functions of their input sequence and both merge:
 // QuantileSketch::merge is *exact* and associative on the bucket counts

@@ -1,9 +1,6 @@
 #include "storage/scheduler.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdlib>
-#include <limits>
 
 namespace ibridge::storage {
 
@@ -75,59 +72,6 @@ std::optional<PeekInfo> NoopScheduler::peek(std::int64_t head_lbn) const {
   if (head_ == queue_.size()) return std::nullopt;
   return PeekInfo{std::llabs(queue_[head_].req.lbn - head_lbn),
                   queue_[head_].req.tag};
-}
-
-// ------------------------------------------------------------ Elevator ----
-
-void ElevatorScheduler::add(PendingRequest p) {
-  auto it = std::upper_bound(
-      sorted_.begin(), sorted_.end(), p.req.lbn,
-      [](std::int64_t lbn, const PendingRequest& q) { return lbn < q.req.lbn; });
-  sorted_.insert(it, std::move(p));
-}
-
-std::size_t ElevatorScheduler::pick_index(std::int64_t head_lbn) const {
-  assert(!sorted_.empty());
-  // First request at or after the head (SCAN direction: ascending), else
-  // wrap around to the lowest LBN.
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), head_lbn,
-      [](const PendingRequest& q, std::int64_t lbn) { return q.req.lbn < lbn; });
-  if (it == sorted_.end()) it = sorted_.begin();
-  return static_cast<std::size_t>(it - sorted_.begin());
-}
-
-void ElevatorScheduler::pop_next(std::int64_t head_lbn, DispatchBatch& out) {
-  out.reset();
-  if (sorted_.empty()) return;
-
-  std::size_t i = pick_index(head_lbn);
-  out.dir = sorted_[i].req.dir;
-  out.lbn = sorted_[i].req.lbn;
-  out.sectors = sorted_[i].req.sectors;
-  out.members.push_back(std::move(sorted_[i]));
-  sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(i));
-
-  // Absorb queued requests contiguous with the batch tail (ascending merge;
-  // the vector is sorted so contiguous successors sit right at `i`).
-  while (i < sorted_.size() && mergeable(out, sorted_[i].req, max_sectors_) &&
-         sorted_[i].req.lbn == out.end()) {
-    absorb(out, std::move(sorted_[i]));
-    sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-  // And any front-contiguous predecessor (rare, but keeps parity with noop).
-  while (i > 0 && mergeable(out, sorted_[i - 1].req, max_sectors_) &&
-         sorted_[i - 1].req.end() == out.lbn) {
-    absorb(out, std::move(sorted_[i - 1]));
-    sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(i - 1));
-    --i;
-  }
-}
-
-std::optional<PeekInfo> ElevatorScheduler::peek(std::int64_t head_lbn) const {
-  if (sorted_.empty()) return std::nullopt;
-  const PendingRequest& r = sorted_[pick_index(head_lbn)];
-  return PeekInfo{std::llabs(r.req.lbn - head_lbn), r.req.tag};
 }
 
 }  // namespace ibridge::storage

@@ -3,9 +3,9 @@
 // The paper runs CFQ on the hard disks and Noop on the SSDs.  What matters
 // for reproducing its block-level request-size distributions (Figs 2(c-e), 5)
 // is (a) whether contiguous queued requests get merged into one dispatch and
-// (b) in what order requests are dispatched.  NoopScheduler models a FIFO
-// with front/back merging; ElevatorScheduler models the sorted dispatch order
-// (SCAN) plus merging that the kernel elevator + NCQ reordering produce.
+// (b) in what order requests are dispatched.  NoopScheduler (the SSDs) models
+// a FIFO with front/back merging; CfqScheduler (the disks) models per-stream
+// round-robin slices with SCAN order inside a stream plus cross-stream merging.
 #pragma once
 
 #include <cstdint>
@@ -178,31 +178,6 @@ class CfqScheduler final : public IoScheduler {
   int last_tag_ = -1;
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;
-};
-
-/// SCAN-order dispatch with merging: requests are kept sorted by LBN; the
-/// next batch starts at the first request at or after the head position
-/// (wrapping to the lowest LBN) and absorbs every queued request contiguous
-/// with it, up to the merge limit.
-class ElevatorScheduler final : public IoScheduler {
- public:
-  explicit ElevatorScheduler(std::int64_t max_merge_sectors = 1024)
-      : max_sectors_(max_merge_sectors) {}
-
-  using IoScheduler::pop_next;
-  void add(PendingRequest p) override;
-  void pop_next(std::int64_t head_lbn, DispatchBatch& out) override;
-  bool empty() const override { return sorted_.empty(); }
-  std::size_t depth() const override { return sorted_.size(); }
-  std::optional<PeekInfo> peek(std::int64_t head_lbn) const override;
-
- private:
-  std::size_t pick_index(std::int64_t head_lbn) const;
-
-  std::int64_t max_sectors_;
-  // Sorted by (lbn, arrival). A vector keeps it simple; queue depths in the
-  // simulated workloads stay small (hundreds at most).
-  std::vector<PendingRequest> sorted_;
 };
 
 }  // namespace ibridge::storage

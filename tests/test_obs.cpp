@@ -280,26 +280,21 @@ TEST(MetricsRegistry, SketchPolicyBoundsMemoryWithinRelativeError) {
   EXPECT_EQ(rows[5].first, "lat_ms.p99");
 }
 
-TEST(MetricsRegistry, PerMetricPolicyOverrideAndDeterministicDigest) {
+TEST(MetricsRegistry, DefaultPolicySwitchAndDeterministicDigest) {
   MetricsRegistry a, b;
   for (MetricsRegistry* reg : {&a, &b}) {
-    reg->set_histogram_policy("tail_ms", HistogramPolicy::kSketch);
-    reg->set_histogram_policy("sample_ms", HistogramPolicy::kReservoir);
+    reg->histogram("exact_ms");  // created under the exact default
+    reg->set_default_histogram_policy(HistogramPolicy::kSketch);
     for (int i = 0; i < 1000; ++i) {
       reg->histogram("tail_ms").add(1.0 + (i % 7));
-      reg->histogram("sample_ms").add(2.0 * (i % 5));
       reg->histogram("exact_ms").add(3.0);
     }
   }
   EXPECT_EQ(a.histogram("tail_ms").policy(), HistogramPolicy::kSketch);
-  EXPECT_EQ(a.histogram("sample_ms").policy(), HistogramPolicy::kReservoir);
   EXPECT_EQ(a.histogram("exact_ms").policy(), HistogramPolicy::kExact)
-      << "the default stays exact unless overridden";
-  // Identical feeds give identical fingerprints; reservoirs are seeded so
-  // even the sampled cell agrees row for row.
+      << "an existing cell keeps the policy it was created with";
+  // Identical feeds give identical fingerprints.
   EXPECT_EQ(a.sketch_digest(), b.sketch_digest());
-  EXPECT_DOUBLE_EQ(a.histogram("sample_ms").percentile(95.0),
-                   b.histogram("sample_ms").percentile(95.0));
   a.histogram("tail_ms").add(123456.0);
   EXPECT_NE(a.sketch_digest(), b.sketch_digest());
 

@@ -84,42 +84,6 @@ TEST(NoopScheduler, PeekReportsFrontRequest) {
   EXPECT_EQ(p->tag, 3);
 }
 
-// -------------------------------------------------------------- Elevator ----
-
-TEST(ElevatorScheduler, ScanOrderFromHead) {
-  sim::Simulator sim;
-  ElevatorScheduler s;
-  s.add(make(sim, IoDirection::kRead, 300, 8));
-  s.add(make(sim, IoDirection::kRead, 100, 8));
-  s.add(make(sim, IoDirection::kRead, 200, 8));
-  EXPECT_EQ(s.pop_next(150).lbn, 200);  // first at/after head
-  EXPECT_EQ(s.pop_next(208).lbn, 300);
-  EXPECT_EQ(s.pop_next(308).lbn, 100);  // wrap to lowest
-}
-
-TEST(ElevatorScheduler, MergesContiguousRun) {
-  sim::Simulator sim;
-  ElevatorScheduler s;
-  for (int i = 0; i < 4; ++i) {
-    s.add(make(sim, IoDirection::kRead, 1000 + 8 * i, 8, i));
-  }
-  auto b = s.pop_next(0);
-  EXPECT_EQ(b.lbn, 1000);
-  EXPECT_EQ(b.sectors, 32);
-  EXPECT_EQ(b.members.size(), 4u);
-}
-
-TEST(ElevatorScheduler, PeekMatchesPopChoice) {
-  sim::Simulator sim;
-  ElevatorScheduler s;
-  s.add(make(sim, IoDirection::kRead, 400, 8, 9));
-  s.add(make(sim, IoDirection::kRead, 900, 8, 4));
-  auto p = s.peek(500);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->tag, 4);
-  EXPECT_EQ(s.pop_next(500).lbn, 900);
-}
-
 // ------------------------------------------------------------------ CFQ ----
 
 TEST(CfqScheduler, RoundRobinAcrossStreams) {
@@ -192,6 +156,12 @@ TEST(CfqScheduler, PeekPrefersActiveStream) {
   auto p = s.peek(108);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->tag, 1) << "active stream retains the slice";
+  // HddModel's anticipation relies on peek naming what pop_next dispatches.
+  auto b = s.pop_next(108);
+  ASSERT_FALSE(b.empty());
+  EXPECT_EQ(b.members.front().req.tag, p->tag);
+  EXPECT_EQ(b.lbn, 50'000);
+  EXPECT_EQ(p->distance, 50'000 - 108);
 }
 
 TEST(CfqScheduler, DepthTracksAddsAndPops) {

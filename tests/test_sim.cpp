@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -760,6 +761,28 @@ TEST(FramePool, SteadyStateTaskChainsReuseFrames) {
   // Each iteration resumes one chain frame and two leaf frames from the
   // free lists.
   EXPECT_GE(pool.reused_allocs(), reused0 + 64u * 3u);
+}
+
+TEST(FramePool, PromiseStateFreedOnAnotherThreadStaysOffAllocatorsPool) {
+  Simulator sim;
+  SimFuture<int> fut;
+  {
+    SimPromise<int> p(sim);
+    fut = p.get_future();
+  }  // the future now holds the state's last reference
+  const std::size_t main_idle = frame_pool().idle_chunks();
+  std::size_t worker_before = 0;
+  std::size_t worker_after = 0;
+  std::thread worker([&] {
+    worker_before = frame_pool().idle_chunks();
+    { SimFuture<int> last = std::move(fut); }  // frees the state here
+    worker_after = frame_pool().idle_chunks();
+  });
+  worker.join();
+  // Pushing onto the allocating thread's free list from another thread
+  // would race with that thread's own pool traffic.
+  EXPECT_EQ(frame_pool().idle_chunks(), main_idle);
+  EXPECT_EQ(worker_after, worker_before + 1);
 }
 
 }  // namespace
