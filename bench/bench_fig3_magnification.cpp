@@ -7,6 +7,7 @@
 // variants run with and without a barrier between iterations.  The paper's
 // trend: the fragment's throughput penalty grows with k.
 #include "bench/bench_common.hpp"
+#include "exp/gauge.hpp"
 #include "mpiio/mpi.hpp"
 
 using namespace ibridge;
@@ -79,6 +80,8 @@ double run_case(const Scale& scale, int k, bool with_fragment, bool barrier) {
 
 int main(int argc, char** argv) {
   const Scale scale = Scale::parse(argc, argv);
+  exp::Stopwatch sw;
+  exp::Gauge g("fig3_magnification");
   banner("Figure 3", "striping magnification: k servers +- a 1 KB fragment");
 
   stats::Table t({"k (servers)", "no-frag", "frag", "reduction",
@@ -94,10 +97,24 @@ int main(int argc, char** argv) {
                stats::Table::fmt("%.1f", nfb),
                stats::Table::fmt("%.1f", frb),
                stats::Table::fmt("%.0f%%", 100.0 * (1.0 - frb / nfb))});
+    std::string key = "k";
+    key += std::to_string(k);
+    key += '.';
+    g.set(key + "nofrag_mbps", nf);
+    g.set(key + "frag_mbps", fr);
+    g.set(key + "reduction_pct", 100.0 * (1.0 - fr / nf));
+    g.set(key + "barrier.nofrag_mbps", nfb);
+    g.set(key + "barrier.frag_mbps", frb);
+    g.set(key + "barrier.reduction_pct", 100.0 * (1.0 - frb / nfb));
   }
   t.print();
   std::printf("  paper trend: reduction grows with k; barriers amplify the "
               "fragment penalty\n");
   footnote();
+  g.set_wall("seconds", sw.seconds());
+  if (!g.write_file()) {
+    std::fprintf(stderr,
+                 "warning: could not write BENCH_fig3_magnification.json\n");
+  }
   return 0;
 }

@@ -84,7 +84,13 @@ class IoScheduler {
 };
 
 /// FIFO dispatch with front/back merging of contiguous same-direction
-/// requests (the Linux noop scheduler still merges).
+/// requests (the Linux noop scheduler still merges).  Each dispatch takes
+/// the FIFO head, then repeatedly absorbs the FIFO-earliest queued request
+/// that starts at the batch's end or ends at its start and keeps it within
+/// `max_merge_sectors`.  Like the kernel elevator's request hash
+/// (elv_rqhash_*), every queued request is indexed by those two boundaries,
+/// so a merge step looks up two keys instead of scanning the queue: a
+/// dispatch costs O(batch), not O(queue depth).
 class NoopScheduler final : public IoScheduler {
  public:
   /// `max_merge_sectors` mirrors the kernel's max_sectors_kb limit.
@@ -94,18 +100,64 @@ class NoopScheduler final : public IoScheduler {
   using IoScheduler::pop_next;
   void add(PendingRequest p) override;
   void pop_next(std::int64_t head_lbn, DispatchBatch& out) override;
-  bool empty() const override { return head_ == queue_.size(); }
-  std::size_t depth() const override { return queue_.size() - head_; }
+  bool empty() const override { return live_ == 0; }
+  std::size_t depth() const override { return live_; }
   std::optional<PeekInfo> peek(std::int64_t head_lbn) const override;
 
  private:
+  // A request's two merge keys: kAtLbn indexes it by (dir, lbn), where a
+  // back merge looks; kAtEnd by (dir, end), where a front merge looks.
+  enum Boundary : int { kAtLbn = 0, kAtEnd = 1 };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::int64_t kNoKey = -1;
+
+  // A queued request plus, per boundary, the next queued request with the
+  // same key (FIFO order).  A request absorbed out of FIFO order stays in
+  // place as a tombstone (sectors == 0) until the head passes it.
+  struct Slot {
+    PendingRequest p;
+    std::uint32_t next[2];
+  };
+  // One key of the open-addressing index: the FIFO chain of live requests
+  // carrying it.  Linear probing, deletion by backward shift, so the table
+  // never holds dead keys.
+  struct Bucket {
+    std::int64_t key;
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  static std::int64_t key_of(const BlockRequest& r, Boundary b) {
+    return key_at(r.dir, b, b == kAtLbn ? r.lbn : r.end());
+  }
+  static std::int64_t key_at(IoDirection dir, Boundary b, std::int64_t sector) {
+    return sector << 2 | static_cast<std::int64_t>(dir) << 1 | b;
+  }
+  std::size_t home(std::int64_t key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >>
+        index_shift_);
+  }
+  std::size_t find(std::int64_t key) const;
+  void link(std::uint32_t i, Boundary b);
+  void unlink(std::uint32_t i, Boundary b);
+  std::uint32_t first_fit(std::int64_t key, Boundary b,
+                          std::int64_t room) const;
+  void grow();
+  void compact();
+
   std::int64_t max_sectors_;
   // FIFO as a vector with an advancing head: pop_front is ++head_ and add()
   // periodically compacts the live tail down in place, so a steady-state
   // queue reuses one buffer forever (std::deque would churn a 512-byte
-  // chunk through the allocator every few dozen requests).
-  std::vector<PendingRequest> queue_;
-  std::size_t head_ = 0;
+  // chunk through the allocator every few dozen requests).  The index
+  // likewise keeps its capacity; both allocate on first add(), never here.
+  std::vector<Slot> queue_;
+  std::vector<Bucket> index_;
+  std::uint32_t head_ = 0;
+  std::uint32_t live_ = 0;
+  std::uint32_t keys_ = 0;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
 };
 
 /// CFQ-like scheduler: one queue per issuing stream (BlockRequest::tag),

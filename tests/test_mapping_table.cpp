@@ -671,5 +671,49 @@ TEST(MappingTableEquivalence, MatchesNaiveReferenceUnderRandomChurn) {
   ASSERT_GT(ref.recs.size(), 0u);
 }
 
+TEST(MappingTableEquivalence, DirtyBatchesMatchFullSortAcrossChunkBoundaries) {
+  // dirty_entries_into orders its prefix in doubling chunks (64, 128, 256,
+  // ... entries); every budget below must still return the full sort's
+  // prefix, including those ending on either side of a chunk boundary.
+  MappingTable t;
+  RefTable ref;
+  sim::Rng rng(0xc4a2c);
+  std::vector<CacheEntry> entries;
+  for (std::int64_t k = 0; k < 1500; ++k) {
+    CacheEntry e;
+    e.file = static_cast<fsim::FileId>(1 + k % 3);
+    e.file_off = off(k / 3 * 4096);
+    e.length = len(rng.uniform(64, 4096));
+    e.log_off = off(k * 4096);
+    e.dirty = k % 5 != 0;  // 1200 dirty, clean ones mixed in
+    entries.push_back(e);
+  }
+  std::shuffle(entries.begin(), entries.end(), rng);
+  for (const CacheEntry& e : entries) ASSERT_EQ(t.insert(e), ref.insert(e));
+
+  const std::vector<EntryId> all = ref.dirty_entries(len(1LL << 40));
+  ASSERT_EQ(all.size(), 1200u);
+  std::vector<Bytes> prefix{len(0)};  // prefix[n]: bytes of the first n
+  for (const EntryId id : all) {
+    prefix.push_back(prefix.back() + t.get(id).length);
+  }
+
+  const auto expect_batch = [&](Bytes budget, std::size_t want) {
+    const auto got = t.dirty_entries(budget);
+    ASSERT_EQ(got, ref.dirty_entries(budget)) << "budget " << budget.count();
+    ASSERT_EQ(got.size(), want) << "budget " << budget.count();
+  };
+  expect_batch(len(1), 1);  // the first entry alone exceeds the budget
+  for (const std::size_t n :
+       {1, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 447, 448,
+        449, 511, 512, 513, 959, 960, 961, 1199}) {
+    expect_batch(prefix[n], n);  // the budget runs out exactly at entry n
+    // ... or part-way into entry n+1, which then does not fit.
+    expect_batch(prefix[n] + t.get(all[n]).length / 2, n);
+  }
+  expect_batch(prefix[1200], 1200);
+  expect_batch(len(1LL << 40), 1200);
+}
+
 }  // namespace
 }  // namespace ibridge::core

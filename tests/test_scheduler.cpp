@@ -2,8 +2,13 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "storage/scheduler.hpp"
 
@@ -82,6 +87,209 @@ TEST(NoopScheduler, PeekReportsFrontRequest) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->distance, 400);
   EXPECT_EQ(p->tag, 3);
+}
+
+TEST(NoopScheduler, FifoEarlierCandidateWins) {
+  sim::Simulator sim;
+  // Room for one more 8-sector request: the front-mergeable request came
+  // before the back-mergeable one, so it wins.
+  NoopScheduler s(/*max_merge_sectors=*/16);
+  s.add(make(sim, IoDirection::kRead, 100, 8, 0));
+  s.add(make(sim, IoDirection::kRead, 92, 8, 1));   // front, earlier
+  s.add(make(sim, IoDirection::kRead, 108, 8, 2));  // back, later
+  auto b = s.pop_next(0);
+  EXPECT_EQ(b.lbn, 92);
+  EXPECT_EQ(b.sectors, 16);
+  ASSERT_EQ(b.members.size(), 2u);
+  EXPECT_EQ(b.members[1].req.tag, 1);
+  EXPECT_EQ(s.peek(0)->tag, 2);
+
+  // Of two requests at the same key, the earlier is absorbed.
+  NoopScheduler t;
+  t.add(make(sim, IoDirection::kWrite, 100, 8, 0));
+  t.add(make(sim, IoDirection::kWrite, 108, 8, 1));
+  t.add(make(sim, IoDirection::kWrite, 108, 8, 2));
+  b = t.pop_next(0);
+  EXPECT_EQ(b.sectors, 16);
+  ASSERT_EQ(b.members.size(), 2u);
+  EXPECT_EQ(b.members[1].req.tag, 1);
+  EXPECT_EQ(t.depth(), 1u);
+  EXPECT_EQ(t.peek(0)->tag, 2);
+}
+
+TEST(NoopScheduler, TooBigRequestAtKeyIsSkippedForLaterOneThatFits) {
+  sim::Simulator sim;
+  NoopScheduler s(/*max_merge_sectors=*/16);
+  s.add(make(sim, IoDirection::kRead, 0, 8, 0));
+  s.add(make(sim, IoDirection::kRead, 8, 16, 1));  // 8 + 16 > cap
+  s.add(make(sim, IoDirection::kRead, 8, 8, 2));   // fits
+  auto b = s.pop_next(0);
+  EXPECT_EQ(b.lbn, 0);
+  EXPECT_EQ(b.sectors, 16);
+  ASSERT_EQ(b.members.size(), 2u);
+  EXPECT_EQ(b.members[1].req.tag, 2);
+  EXPECT_EQ(s.depth(), 1u);
+  EXPECT_EQ(s.peek(0)->tag, 1);
+}
+
+// The linear-scan Noop merge that the boundary index replaced: after the
+// FIFO head, rescan the queue from the front for the first request that
+// back- or front-merges and fits, absorb it, and repeat.  The reference the
+// differential test below holds NoopScheduler to.
+class ScanNoop {
+ public:
+  explicit ScanNoop(std::int64_t max_sectors) : max_sectors_(max_sectors) {}
+
+  void add(PendingRequest p) { queue_.push_back(std::move(p)); }
+
+  DispatchBatch pop_next() {
+    DispatchBatch out;
+    if (queue_.empty()) return out;
+    out.dir = queue_.front().req.dir;
+    out.lbn = queue_.front().req.lbn;
+    out.sectors = queue_.front().req.sectors;
+    out.members.push_back(std::move(queue_.front()));
+    queue_.erase(queue_.begin());
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const BlockRequest& r = queue_[i].req;
+        if (r.dir == out.dir && out.sectors + r.sectors <= max_sectors_ &&
+            (r.lbn == out.end() || r.end() == out.lbn)) {
+          if (r.lbn < out.lbn) out.lbn = r.lbn;
+          out.sectors += r.sectors;
+          out.members.push_back(std::move(queue_[i]));
+          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+          progress = true;
+          break;
+        }
+      }
+    }
+    return out;
+  }
+
+  std::size_t depth() const { return queue_.size(); }
+
+  std::optional<PeekInfo> peek(std::int64_t head_lbn) const {
+    if (queue_.empty()) return std::nullopt;
+    return PeekInfo{std::llabs(queue_.front().req.lbn - head_lbn),
+                    queue_.front().req.tag};
+  }
+
+ private:
+  std::int64_t max_sectors_;
+  std::vector<PendingRequest> queue_;
+};
+
+// Seeded traffic that merges in every way the scheduler must handle: both
+// directions, a dense region with duplicate LBNs and chance adjacency, and
+// forward and backward sequential streams that chain back and front merges.
+class MergeTraffic {
+ public:
+  explicit MergeTraffic(std::uint64_t seed) : rng_(seed) {}
+
+  BlockRequest next() {
+    BlockRequest r;
+    r.dir = rng_.chance(0.5) ? IoDirection::kRead : IoDirection::kWrite;
+    r.sectors = rng_.uniform(1, 16);
+    const int d = static_cast<int>(r.dir);
+    switch (rng_.below(3)) {
+      case 0:
+        r.lbn = rng_.uniform(0, 255);
+        break;
+      case 1:
+        r.lbn = forward_[d];
+        forward_[d] += r.sectors;
+        break;
+      default:
+        backward_[d] -= r.sectors;
+        r.lbn = backward_[d];
+        break;
+    }
+    r.tag = tag_++;
+    return r;
+  }
+
+  sim::Rng& rng() { return rng_; }
+
+ private:
+  sim::Rng rng_;
+  std::int64_t forward_[2] = {1 << 20, 1 << 20};
+  std::int64_t backward_[2] = {1 << 30, 1 << 30};
+  int tag_ = 0;
+};
+
+void expect_same_batch(const DispatchBatch& got, const DispatchBatch& want,
+                       int pop) {
+  ASSERT_EQ(got.dir, want.dir) << "pop " << pop;
+  ASSERT_EQ(got.lbn, want.lbn) << "pop " << pop;
+  ASSERT_EQ(got.sectors, want.sectors) << "pop " << pop;
+  ASSERT_EQ(got.members.size(), want.members.size()) << "pop " << pop;
+  for (std::size_t m = 0; m < got.members.size(); ++m) {
+    ASSERT_EQ(got.members[m].req.tag, want.members[m].req.tag)
+        << "pop " << pop << " member " << m;
+  }
+}
+
+TEST(NoopScheduler, MatchesLinearScanReferenceUnderSeededTraffic) {
+  for (const std::int64_t max_sectors :
+       {std::int64_t{1024}, std::int64_t{24}}) {
+    SCOPED_TRACE(max_sectors);
+    sim::Simulator sim;
+    NoopScheduler s(max_sectors);
+    ScanNoop ref(max_sectors);
+    MergeTraffic traffic(0x5c4ed + static_cast<std::uint64_t>(max_sectors));
+    int pops = 0;
+    int chained = 0;  // batches of three or more requests
+    std::size_t deepest = 0;
+    const auto add = [&] {
+      const BlockRequest r = traffic.next();
+      s.add(make(sim, r.dir, r.lbn, r.sectors, r.tag));
+      ref.add(make(sim, r.dir, r.lbn, r.sectors, r.tag));
+      deepest = std::max(deepest, ref.depth());
+    };
+    const auto pop = [&] {
+      const DispatchBatch got = s.pop_next(0);
+      const DispatchBatch want = ref.pop_next();
+      expect_same_batch(got, want, pops++);
+      if (got.members.size() >= 3) ++chained;
+      ASSERT_EQ(s.depth(), ref.depth()) << "pop " << pops;
+      ASSERT_EQ(s.empty(), ref.depth() == 0);
+      const std::int64_t head = traffic.rng().uniform(0, 1 << 20);
+      const auto p = s.peek(head);
+      const auto q = ref.peek(head);
+      ASSERT_EQ(p.has_value(), q.has_value()) << "pop " << pops;
+      if (p) {
+        ASSERT_EQ(p->distance, q->distance) << "pop " << pops;
+        ASSERT_EQ(p->tag, q->tag) << "pop " << pops;
+      }
+    };
+    // Deep bursts drained under continuing arrivals, then a long shallow
+    // stretch that never empties the queue, so the dead prefix outgrows 64
+    // pops and half the buffer and gets compacted many times.
+    for (int burst = 0; burst < 3; ++burst) {
+      for (int i = 0; i < 4500; ++i) add();
+      while (ref.depth() > 0) {
+        if (traffic.rng().chance(0.3)) add();
+        pop();
+      }
+    }
+    for (int i = 0; i < 40; ++i) add();
+    for (int step = 0; step < 20000; ++step) {
+      if (ref.depth() < 10 || traffic.rng().chance(0.5)) {
+        add();
+      } else {
+        pop();
+      }
+    }
+    while (ref.depth() > 0) pop();
+    EXPECT_GE(deepest, 4000u);
+    EXPECT_GT(pops, 5000);
+    EXPECT_GT(chained, 500);
+    EXPECT_TRUE(s.empty());
+    EXPECT_FALSE(s.peek(0).has_value());
+  }
 }
 
 // ------------------------------------------------------------------ CFQ ----

@@ -91,6 +91,11 @@ struct SynthCase {
   double unaligned, random;  // Table I targets (%)
 };
 
+// Without this, gtest prints the case as raw object bytes, which include
+// a heap address, so the ctest name gtest_discover_tests derives from it
+// changes from build to build.
+void PrintTo(const SynthCase& c, std::ostream* os) { *os << c.profile.name; }
+
 class SynthesizerMatchesTableI : public ::testing::TestWithParam<SynthCase> {};
 
 TEST_P(SynthesizerMatchesTableI, WithinTwoPercent) {
