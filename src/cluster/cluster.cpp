@@ -48,6 +48,8 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       256;
   const std::size_t server_events = 64;
   const int group_size = cfg.shard_group_size < 1 ? 1 : cfg.shard_group_size;
+  // Model fork, not just speed: the sharded core runs the per-server board
+  // reporters and the barrier-grid sampler, so the two cores' gauges differ.
   if (cfg.shards >= 1) {
     // Sharded core: shard 0 = client + MDS side, shard 1 + i / group_size
     // = data server i.  The logical structure is fixed by the topology and
@@ -68,6 +70,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     }
     front_ = &group_->shard(0);
     front_->reserve(client_events);
+    for (int k = 0; k < logical; ++k) sims_.push_back(&group_->shard(k));
     for (int g = 0; g < groups; ++g) {
       // Each group shard hosts up to `group_size` servers' event streams.
       const int members = g == groups - 1
@@ -82,9 +85,9 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     // plus per-server daemons.  Avoids heap regrowth pauses mid-run.
     sim_.reserve(client_events +
                  static_cast<std::size_t>(cfg.data_servers) * server_events);
+    sims_.push_back(&sim_);
   }
   net_ = std::make_unique<net::NetworkModel>(*front_, cfg.network);
-  net_->set_shard_group(group_.get());
 
   storage::SeekProfile profile;
   if (cfg.server.ibridge.enabled) {
@@ -105,7 +108,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   mds_nic_ = &net_->add_endpoint("mds");
   mds_ = std::make_unique<pvfs::MetadataServer>(
       *front_, raw, *mds_nic_, cfg.server.ibridge.t_report_interval);
-  mds_->set_shard_group(group_.get());
   mds_->start_board_daemon();
 
   for (int i = 0; i < cfg.client_nodes; ++i) {
@@ -147,13 +149,11 @@ sim::SimTime Cluster::drain() {
   bool done = false;
   // Drain one server's cache, ending on shard 0: the JoinSet's completion
   // counter lives there, so a sharded cluster must hop back before the
-  // wrapper increments it.  (Unsharded, the hop is skipped and the extra
+  // wrapper increments it.  (Unsharded, the hop is a no-op and the extra
   // coroutine layer schedules no events — the timeline is unchanged.)
   auto drain_one = [](Cluster& c, pvfs::DataServer& s) -> sim::Task<> {
     co_await s.cache()->drain();
-    if (c.shard_group() != nullptr) {
-      co_await c.shard_group()->hop(s.sim(), c.sim());
-    }
+    co_await sim::hop(s.sim(), c.sim());
   };
   // Drain every server concurrently — the flushes overlap in simulated
   // time exactly as the real servers' write-back threads would.
@@ -184,7 +184,8 @@ void Cluster::install_observer(core::CacheObserver* obs) {
 
 void Cluster::set_trace(obs::TraceSession* session) {
   // TraceSession appends to shared rings from every layer; it has no
-  // cross-shard story yet, so tracing requires the classic core.
+  // cross-shard story yet, so tracing requires the classic core.  (Kept
+  // until spans get per-shard lanes: lifting it changes what tracing sees.)
   assert(session == nullptr || group_ == nullptr);
   client_->set_trace(session);
   for (auto& s : servers_) s->set_trace(session);
@@ -201,19 +202,13 @@ void Cluster::set_profiler(obs::SimProfiler* profiler) {
   // Interns categories — must precede lane creation (lanes size their
   // counters to the categories known at creation).
   for (auto& s : servers_) s->set_profiler(profiler);
-  if (group_ == nullptr) {
-    sim_.set_step_hook(profiler);
-    return;
-  }
-  // Sharded: every shard gets its own lane hook; the profiler's accessors
-  // fan the lanes back in (see obs/profiler.hpp).
-  if (profiler != nullptr) {
-    profiler->set_lane_count(static_cast<std::size_t>(group_->shards()));
-  }
-  for (int k = 0; k < group_->shards(); ++k) {
-    group_->shard(k).set_step_hook(
-        profiler == nullptr ? nullptr
-                            : profiler->lane_hook(static_cast<std::size_t>(k)));
+  // One lane per simulator: the single one on the classic core, one per
+  // shard on a group.  The profiler's accessors fan the lanes back in (see
+  // obs/profiler.hpp).
+  if (profiler != nullptr) profiler->set_lane_count(sims_.size());
+  for (std::size_t k = 0; k < sims_.size(); ++k) {
+    sims_[k]->set_step_hook(profiler == nullptr ? nullptr
+                                                : profiler->lane_hook(k));
   }
 }
 
@@ -314,6 +309,8 @@ void Cluster::start_metrics_sampler(sim::SimTime interval,
   assert(interval > sim::SimTime::zero());
   sampler_running_ = true;
   const std::uint64_t epoch = ++sampler_epoch_;
+  // Model-visible fork: exact ticks here, barrier-grid samples below (which
+  // may include up to one window of events past the grid point).
   if (group_ == nullptr) {
     schedule_sample(interval, out, epoch);
     return;

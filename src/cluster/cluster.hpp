@@ -121,11 +121,12 @@ class Cluster {
   /// subsequent set_trace(nullptr).
   void set_trace(obs::TraceSession* session);
 
-  /// Attach a SimProfiler to every layer and install it as the simulator's
-  /// step hook (nullptr detaches everywhere).  Wire before running — the
-  /// profiler interns its categories and sizes its per-server heat tables
-  /// here.  While attached, collect_metrics() also publishes the profiler's
-  /// sim.* / prof.* / srv<N>.prof.* rows.
+  /// Attach a SimProfiler to every layer and install one of its lanes as
+  /// each simulator's step hook (nullptr detaches everywhere).  Wire before
+  /// running — the profiler interns its categories, sizes its per-server
+  /// heat tables and creates fresh lanes here.  While attached,
+  /// collect_metrics() also publishes the profiler's sim.* / prof.* /
+  /// srv<N>.prof.* rows.
   void set_profiler(obs::SimProfiler* profiler);
 
   /// Publish every component's counters into `reg` under the naming scheme
@@ -158,6 +159,7 @@ class Cluster {
   sim::Simulator sim_;  ///< the classic single simulator (cfg.shards == 0)
   std::unique_ptr<sim::ShardGroup> group_;  ///< set when cfg.shards >= 1
   sim::Simulator* front_ = &sim_;           ///< shard 0 or sim_
+  std::vector<sim::Simulator*> sims_;       ///< sim_ alone, or every shard
   bool sampler_running_ = false;
   std::uint64_t sampler_epoch_ = 0;
   sim::SimTime sampler_next_ = sim::SimTime::zero();  ///< sharded grid cursor

@@ -73,7 +73,7 @@ struct CacheStats {
   std::uint64_t admit_by_class[kNumClasses] = {0, 0};
   Bytes writeback_bytes;          ///< dirty payload flushed back to the disk
   /// Distribution of Eq. (1-3) return estimates (ms) across served requests.
-  // lint: obs-bounded-ok (merged into the registry's bounded HistogramCell)
+  // lint: obs-bounded-ok (merged into a registry HistogramCell; bounded only under kSketch)
   stats::Histogram ret_estimate_ms;
 };
 

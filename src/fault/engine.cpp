@@ -7,6 +7,7 @@
 #include "core/cache.hpp"
 #include "core/observer.hpp"
 #include "pvfs/server.hpp"
+#include "sim/shard.hpp"
 #include "storage/ssd.hpp"
 
 namespace ibridge::fault {
@@ -86,7 +87,8 @@ void FaultEngine::start() {
   if (started_) return;
   started_ = true;
   // Sharded actors run on their servers' shards; the TraceSession has no
-  // cross-shard story, so tracing an engine requires the classic core.
+  // cross-shard story, so tracing an engine requires the classic core (kept
+  // until spans get per-shard lanes).
   assert(trace_ == nullptr || cluster_.shard_group() == nullptr);
   for (int i = 0; i < cluster_.server_count(); ++i) {
     SsdFaultModel* m = models_[static_cast<std::size_t>(i)].get();
@@ -96,28 +98,21 @@ void FaultEngine::start() {
       ssd->set_fault_hook(m);
     }
   }
-  const bool sharded = cluster_.shard_group() != nullptr;
   for (const CrashSpec& c : schedule_.crashes) {
     if (c.server < 0 || c.server >= cluster_.server_count()) continue;
-    ActorLane* lane = &shared_;
-    if (sharded) {
-      lanes_.emplace_back();
-      lane = &lanes_.back();
-    }
-    actors_.spawn(crash_actor(c, lane));
+    actors_.spawn(crash_actor(c, &lanes_.emplace_back()));
   }
 }
 
 sim::Task<> FaultEngine::crash_actor(CrashSpec spec, ActorLane* lane) {
   pvfs::DataServer& server = cluster_.server(spec.server);
   core::IBridgeCache* cache = server.cache();
-  sim::ShardGroup* group = cluster_.shard_group();
   // Arm the timer on shard 0 (where the actor is spawned), then move to the
   // crashed server's shard: everything below touches its cache/device state
   // and schedules on its queue.
   co_await sim::Delay{cluster_.sim(), spec.at};
-  if (group != nullptr) co_await group->hop(cluster_.sim(), server.sim());
   sim::Simulator& sim = server.sim();
+  co_await sim::hop(cluster_.sim(), sim);
 
   const obs::SpanId span =
       trace_ != nullptr ? trace_->begin(trace_track_, "fault.crash", "fault")
@@ -200,14 +195,13 @@ sim::Task<> FaultEngine::crash_actor(CrashSpec spec, ActorLane* lane) {
   lane->digest.update_i64(sim.now().ns());
   // Return to shard 0 so TaskGroup completion bookkeeping (all_finished)
   // is mutated only on the driver shard.
-  if (group != nullptr) co_await group->hop(sim, cluster_.sim());
+  co_await sim::hop(sim, cluster_.sim());
   if (span != 0) trace_->end(span);
 }
 
 std::uint64_t FaultEngine::digest() const {
   FaultDigest d;
   d.update_u64(schedule_digest(schedule_));
-  d.update_u64(shared_.digest.value());
   // Spawn order, so the fold is a pure function of the schedule — invariant
   // under shard/worker counts.
   for (const ActorLane& lane : lanes_) d.update_u64(lane.digest.value());
@@ -218,7 +212,7 @@ std::uint64_t FaultEngine::digest() const {
 }
 
 const std::string& FaultEngine::failure() const {
-  failure_joined_ = shared_.failure;
+  failure_joined_.clear();
   for (const ActorLane& lane : lanes_) {
     if (lane.failure.empty()) continue;
     if (!failure_joined_.empty()) failure_joined_ += "; ";
@@ -228,7 +222,7 @@ const std::string& FaultEngine::failure() const {
 }
 
 FaultEngine::Stats FaultEngine::stats() const {
-  Stats s = shared_.stats;
+  Stats s;
   for (const ActorLane& lane : lanes_) {
     s.crashes += lane.stats.crashes;
     s.recoveries += lane.stats.recoveries;

@@ -72,13 +72,12 @@ class FaultEngine {
  private:
   class CrashGate;
 
-  /// Where an actor folds its injected events.  On the classic core every
-  /// actor shares one lane — the counters/digest interleave in event-time
-  /// order, byte-identical to the engine's original single-digest history.
-  /// On a sharded cluster actors run concurrently on their servers' shards,
-  /// so each gets its own lane (deque: stable addresses), folded in spawn
-  /// order by digest()/stats()/failure() — which makes the merged values a
-  /// pure function of the schedule, invariant under the worker count.
+  /// Where an actor folds its injected events.  Every crash actor gets its
+  /// own lane (deque: stable addresses), folded in spawn order by
+  /// digest()/stats()/failure().  Actors of a sharded cluster run
+  /// concurrently on their servers' shards, and the spawn-order fold makes
+  /// the merged values a pure function of the schedule, invariant under the
+  /// worker count.
   struct ActorLane {
     Stats stats;
     FaultDigest digest;
@@ -94,8 +93,7 @@ class FaultEngine {
   obs::TraceSession* trace_ = nullptr;
   obs::TrackId trace_track_ = obs::kNoTrack;
   bool started_ = false;
-  ActorLane shared_;              ///< the classic core's single lane
-  std::deque<ActorLane> lanes_;   ///< sharded: one per actor, spawn order
+  std::deque<ActorLane> lanes_;  ///< one per crash actor, spawn order
   mutable std::string failure_joined_;
   sim::TaskGroup actors_;
 };

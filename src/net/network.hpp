@@ -94,32 +94,28 @@ class NetworkModel {
     return *nics_.back();
   }
 
-  /// Enable the cross-shard transfer path.  The group's lookahead must not
-  /// exceed the wire latency — otherwise a transfer would arrive inside the
-  /// window that sent it.
-  void set_shard_group(sim::ShardGroup* group) {
-    assert(group == nullptr || group->lookahead() <= params_.wire_latency());
-    group_ = group;
-  }
-
   /// Coroutine: move `bytes` from `src` to `dst`; completes when the last
   /// byte lands.  When `src` and `dst` live on different shards the
   /// coroutine finishes on `dst`'s shard (see CrossShardArrival).
   sim::Task<> transfer(Nic& src, Nic& dst, std::int64_t bytes) {
-    if (group_ != nullptr && &src.sim() != &dst.sim()) {
+    if (&src.sim() != &dst.sim()) {
+      // The group's lookahead must not exceed the wire latency — otherwise
+      // a transfer would arrive inside the window that sent it.
+      assert(src.sim().group() != nullptr &&
+             src.sim().group()->lookahead() <= params_.wire_latency());
       // Two-phase store-and-forward across the shard boundary.  Phase 1 on
       // the sending shard: occupy the source NIC.  The wire latency is then
       // spent crossing shards (>= the group lookahead, so the arrival lands
       // beyond the current window).  Phase 2 on the receiving shard: occupy
       // the destination NIC, which may still be busy with earlier arrivals.
       const sim::SimTime src_done = src.reserve(bytes);
-      co_await CrossShardArrival{group_, &src.sim(), &dst.sim(),
+      co_await CrossShardArrival{&src.sim(), &dst.sim(),
                                  src_done + params_.wire_latency()};
       const sim::SimTime dst_done = dst.reserve(bytes);
       co_await sim::Delay{dst.sim(), dst_done - dst.sim().now()};
       co_return;
     }
-    // Same-shard (or unsharded): both NICs' timelines are visible at once,
+    // Same simulator: both NICs' timelines are visible at once,
     // so charge max(src, dst) serialization plus the wire latency.
     sim::Simulator& sim = src.sim();
     const sim::SimTime src_done = src.reserve(bytes);
@@ -138,20 +134,19 @@ class NetworkModel {
   /// Awaitable that parks the coroutine until `when` and resumes it on
   /// `to`'s shard, via the group's barrier-merged post path.
   struct CrossShardArrival {
-    sim::ShardGroup* group;
     sim::Simulator* from;
     sim::Simulator* to;
     sim::SimTime when;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      group->post(*from, *to, when, sim::InlineEvent([h] { h.resume(); }));
+      from->group()->post(*from, *to, when,
+                          sim::InlineEvent([h] { h.resume(); }));
     }
     void await_resume() const noexcept {}
   };
 
   sim::Simulator& sim_;
   NetworkParams params_;
-  sim::ShardGroup* group_ = nullptr;
   std::vector<std::unique_ptr<Nic>> nics_;
 };
 

@@ -18,8 +18,9 @@
 // HistogramPolicy: kExact keeps every sample (stats::Histogram, exact
 // percentiles, O(n) memory) and kSketch uses the bounded-memory
 // stats::QuantileSketch (guaranteed relative error, exact mergeable).  The
-// default policy is kExact for compatibility; scale runs switch the registry
-// default to kSketch — see docs/OBSERVABILITY.md "Bounded-memory mode".
+// default policy is kExact; a caller that wants bounded memory switches the
+// registry default with set_default_histogram_policy(kSketch) (bench_obs
+// and tests do) — see docs/OBSERVABILITY.md "Bounded-memory mode".
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "pvfs/metadata.hpp"
 
+#include "sim/shard.hpp"
+
 namespace ibridge::pvfs {
 
 FileHandle MetadataServer::create_file(const std::string& name,
@@ -33,7 +35,9 @@ void MetadataServer::start_board_daemon() {
   if (!any || running_) return;
   running_ = true;
   ++epoch_;
-  if (group_ == nullptr) {
+  // Model fork, not just wiring: the poll reads T one wire hop fresher than
+  // the reporters, so switching shapes moves the paper gauges.
+  if (sim_.group() == nullptr) {
     daemons_.spawn(board_daemon());
     return;
   }
@@ -54,7 +58,7 @@ sim::Task<> MetadataServer::t_reporter(std::size_t s) {
   DataServer* srv = servers_[s];
   sim::Simulator& ssim = srv->sim();
   // First move to the server's shard; only then touch its clock or state.
-  co_await group_->hop(sim_, ssim);
+  co_await sim::hop(sim_, ssim);
   // running_/epoch_ live on shard 0 but are only mutated in driver phase
   // (stop()/start_board_daemon() between runs), so reading them here races
   // with nothing.
@@ -62,8 +66,9 @@ sim::Task<> MetadataServer::t_reporter(std::size_t s) {
     co_await sim::Delay{ssim, interval_};
     if (!running_ || epoch != epoch_) break;
     const double t = srv->current_t();
-    group_->post(ssim, sim_, ssim.now() + group_->lookahead(),
-                 sim::InlineEvent([this, s, t] { t_latest_[s] = t; }));
+    sim::ShardGroup* group = ssim.group();
+    group->post(ssim, sim_, ssim.now() + group->lookahead(),
+                sim::InlineEvent([this, s, t] { t_latest_[s] = t; }));
   }
 }
 
@@ -77,9 +82,10 @@ sim::Task<> MetadataServer::board_broadcaster() {
     // the board to every server's shard.
     core::TBoard board(t_latest_.begin(), t_latest_.end());
     board_ = board;
+    sim::ShardGroup* group = sim_.group();
     for (auto* srv : servers_) {
-      group_->post(sim_, srv->sim(), sim_.now() + group_->lookahead(),
-                   sim::InlineEvent([srv, board] { srv->set_board(board); }));
+      group->post(sim_, srv->sim(), sim_.now() + group->lookahead(),
+                  sim::InlineEvent([srv, board] { srv->set_board(board); }));
     }
   }
 }

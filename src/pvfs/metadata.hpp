@@ -68,13 +68,11 @@ class MetadataServer {
   int server_count() const { return static_cast<int>(servers_.size()); }
   net::Nic& nic() { return nic_; }
 
-  /// Sharded clusters set this before start_board_daemon(): the poll-based
-  /// daemon is replaced by per-server T reporters (running on each server's
-  /// shard) and a shard-0 broadcaster, with all cross-shard traffic going
-  /// through the group's lookahead-buffered post path.
-  void set_shard_group(sim::ShardGroup* group) { group_ = group; }
-
-  /// Start the T-board daemon (no-op when no server runs iBridge).
+  /// Start the T-board daemon (no-op when no server runs iBridge).  On a
+  /// sharded simulator the poll-based daemon is replaced by per-server T
+  /// reporters (running on each server's shard) and a shard-0 broadcaster,
+  /// with all cross-shard traffic going through the group's
+  /// lookahead-buffered post path.
   void start_board_daemon();
   void stop() { running_ = false; ++epoch_; }
 
@@ -91,7 +89,6 @@ class MetadataServer {
   net::Nic& nic_;
   sim::SimTime interval_;
   sim::TaskGroup daemons_;
-  sim::ShardGroup* group_ = nullptr;
   std::vector<double> t_latest_;  ///< shard-0 copy of each server's last T
   // Ordered maps: iteration over the file registry reaches simulation
   // results (datafile creation order, board daemon), so the containers are

@@ -57,7 +57,7 @@
 // across worker counts, exactly as for the base scheme.
 //
 // Shard *groups* (cluster::Cluster maps many data servers onto one shard)
-// need no support here beyond what post()/Hop already provide: shards are
+// need no support here beyond what post()/hop() already provide: shards are
 // anonymous event streams, and grouping only changes how many of them exist.
 //
 // Driver-phase use (setup/teardown code between run_all calls) runs on the
@@ -65,6 +65,7 @@
 // the target shard's queue, still deterministically.
 #pragma once
 
+#include <cassert>
 #include <condition_variable>
 #include <coroutine>
 #include <cstdint>
@@ -125,23 +126,6 @@ class ShardGroup {
   /// lookahead).  Outside a window it is scheduled directly (clamped to
   /// `to`'s clock, which driver-phase code may not have advanced).
   void post(Simulator& from, Simulator& to, SimTime when, InlineEvent fn);
-
-  /// Awaitable that moves the running coroutine from `from`'s shard to
-  /// `to`'s shard, arriving `lookahead` later (a no-op when already there).
-  /// This is how driver coroutines spawned on shard 0 reach a data server's
-  /// shard before touching its state or scheduling on its queue.
-  struct Hop {
-    ShardGroup* group;
-    Simulator* from;
-    Simulator* to;
-    bool await_ready() const noexcept { return from == to; }
-    void await_suspend(std::coroutine_handle<> h) {
-      group->post(*from, *to, from->now() + group->lookahead_,
-                  InlineEvent([h] { h.resume(); }));
-    }
-    void await_resume() const noexcept {}
-  };
-  Hop hop(Simulator& from, Simulator& to) { return Hop{this, &from, &to}; }
 
   /// Run windows until every shard's queue drains, then advance all shard
   /// clocks to the global maximum (so driver-phase code sees one time).
@@ -220,5 +204,27 @@ class ShardGroup {
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };
+
+/// Awaitable that moves the running coroutine from `from`'s simulator to
+/// `to`'s, arriving one lookahead later.  A no-op (no suspension, no event)
+/// when both are the same simulator, grouped or standalone — so code that
+/// hops works unchanged on a one-simulator cluster.  Otherwise both must
+/// belong to the same ShardGroup.  This is how driver coroutines spawned on
+/// shard 0 reach a data server's shard before touching its state or
+/// scheduling on its queue.
+struct Hop {
+  Simulator* from;
+  Simulator* to;
+  bool await_ready() const noexcept { return from == to; }
+  void await_suspend(std::coroutine_handle<> h) {
+    ShardGroup* group = from->group();
+    assert(group != nullptr && group == to->group() &&
+           "hop between simulators of different groups");
+    group->post(*from, *to, from->now() + group->lookahead(),
+                InlineEvent([h] { h.resume(); }));
+  }
+  void await_resume() const noexcept {}
+};
+inline Hop hop(Simulator& from, Simulator& to) { return Hop{&from, &to}; }
 
 }  // namespace ibridge::sim

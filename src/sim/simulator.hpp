@@ -13,7 +13,9 @@
 // deterministic time windows.  A grouped simulator's run()-family entry
 // points transparently delegate to the group, so driver code written against
 // `sim().run_while_pending(...)` works unchanged whether the cluster is
-// sharded or not.
+// sharded or not.  (That delegation stays while two cores exist: a grouped
+// run_while_pending checks its predicate only at barriers, which is
+// model-visible to drivers that stop on it.)
 //
 // Hot-path engineering (measured by bench/bench_simcore.cpp, design notes in
 // docs/PERF.md):
@@ -44,7 +46,7 @@ namespace ibridge::sim {
 
 class ShardGroup;
 
-/// Observer of individual simulator steps (the obs::SimProfiler hook).
+/// Observer of individual simulator steps (an obs::ProfilerLane).
 /// Both callbacks run inside Simulator::step(), which is a static no-alloc
 /// zone — implementations must not allocate (pre-size any state up front).
 class StepHook {

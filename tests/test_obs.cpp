@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -388,7 +390,8 @@ TEST(SimProfiler, GapAttributionAndFirstMarkWins) {
   const int cache = prof.category("cache");
   EXPECT_EQ(prof.category("disk"), disk) << "re-interning returns the id";
   prof.set_server_count(2);
-  sim.set_step_hook(&prof);
+  prof.set_lane_count(1);
+  sim.set_step_hook(prof.lane_hook(0));
   sim.schedule(ms(2), [&] {
     prof.mark(disk);
     prof.mark(cache);  // second mark per event is ignored
@@ -652,6 +655,93 @@ TEST(ClusterProfiler, AttributionCoversTimelineWithoutPerturbingIt) {
   MetricsRegistry bare;
   c.collect_metrics(bare);
   EXPECT_FALSE(bare.has("sim.events"));
+}
+
+/// Every row a profiler publishes, for whole-registry comparisons.
+struct PublishedRows {
+  std::map<std::string, std::int64_t> counters;
+  std::map<std::string, double> gauges;
+  bool operator==(const PublishedRows&) const = default;
+};
+
+sim::Task<> write_then_read(mpiio::MpiContext ctx, mpiio::MpiFile file) {
+  co_await file.write_at(ctx.rank(), ctx.rank() * (1LL << 20) + 512,
+                         65 * 1024);
+  co_await ctx.barrier();
+  co_await reader(ctx, file, 3);
+}
+
+/// The unaligned read workload, plus one unaligned write per rank so the
+/// write-back drain runs, on a grouped cluster: 8 servers folded three to a
+/// shard (4 shards), adaptive windows, `workers` threads.
+PublishedRows profile_sharded(int workers, std::uint64_t* group_events) {
+  cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
+  cfg.data_servers = 8;
+  cfg.shard_group_size = 3;
+  cfg.adaptive_window_us = 50.0;
+  cfg.shards = workers;
+  cluster::Cluster c(cfg);
+  SimProfiler prof;
+  c.set_profiler(&prof);
+  EXPECT_EQ(prof.lane_count(), 4u) << "one lane per shard";
+  auto fh = c.create_file("data", 2LL << 30);
+  mpiio::MpiFile file(c.client(), fh);
+  mpiio::MpiEnvironment group(c.sim(), c.client(), 4);
+  group.launch(
+      [&](mpiio::MpiContext ctx) { return write_then_read(ctx, file); });
+  c.sim().run_while_pending([&] { return group.finished(); });
+  c.drain();
+  EXPECT_EQ(t_active_lane, nullptr)
+      << "a profiled sharded run left its last lane active";
+  *group_events = c.shard_group()->events_executed();
+  MetricsRegistry reg;
+  prof.publish(reg);
+  c.set_profiler(nullptr);
+  return PublishedRows{reg.counters(), reg.gauges()};
+}
+
+// The per-shard lanes are the only attribution path; on a sharded cluster
+// their fan-in must be a pure function of the schedule.
+TEST(ClusterProfiler, ShardedLanesAreWorkerCountInvariant) {
+  std::uint64_t events1 = 0, events3 = 0;
+  const PublishedRows one = profile_sharded(1, &events1);
+  const PublishedRows three = profile_sharded(3, &events3);
+  EXPECT_EQ(events1, events3);
+  EXPECT_TRUE(one == three)
+      << "published profiler rows depend on the worker count";
+  ASSERT_TRUE(one.counters.count("sim.events"));
+  EXPECT_EQ(one.counters.at("sim.events"), static_cast<std::int64_t>(events1))
+      << "the lanes missed events the group executed";
+  EXPECT_GT(one.counters.at("prof.events.disk"), 0);
+  EXPECT_GT(one.counters.at("prof.events.client"), 0);
+}
+
+// A lane names itself active for exactly one event.  A lane left active
+// after its run would dangle once its profiler dies, and the next
+// driver-phase mark() on the same thread — here IBridgeCache::drain()
+// marking before any event runs — would write through it
+// (heap-use-after-free under ASan).
+TEST(ClusterProfiler, FreshProfilerAfterShardedRunSeesNoStaleLane) {
+  {
+    cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
+    cfg.shards = 1;
+    cluster::Cluster c(cfg);
+    auto prof = std::make_unique<SimProfiler>();
+    c.set_profiler(prof.get());
+    // 100 ms of the board and write-back daemons.
+    c.sim().run_until(sim::SimTime::millis(100));
+    EXPECT_GT(prof->events_total(), 0u);
+    EXPECT_EQ(t_active_lane, nullptr)
+        << "a profiled run_until() left its last lane active";
+    c.set_profiler(nullptr);
+    prof.reset();
+  }
+  cluster::Cluster fresh(cluster::ClusterConfig::with_ibridge());
+  SimProfiler prof;
+  fresh.set_profiler(&prof);
+  fresh.drain();
+  EXPECT_EQ(t_active_lane, nullptr);
+  EXPECT_GT(prof.events_total(), 0u);
 }
 
 }  // namespace

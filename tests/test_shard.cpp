@@ -186,12 +186,12 @@ TEST(ShardGroup, HopMovesCoroutineAcrossShards) {
               bool& flag) -> Task<> {
     Simulator& s0 = gr.shard(0);
     Simulator& s1 = gr.shard(1);
-    co_await gr.hop(s0, s0);  // no-op: already there
+    co_await hop(s0, s0);  // no-op: already there
     ts.push_back(s0.now().ns());
-    co_await gr.hop(s0, s1);
+    co_await hop(s0, s1);
     ts.push_back(s1.now().ns());
     co_await Delay{s1, SimTime::micros(7)};
-    co_await gr.hop(s1, s0);
+    co_await hop(s1, s0);
     ts.push_back(s0.now().ns());
     flag = true;
   }(g, times, done);
@@ -201,6 +201,23 @@ TEST(ShardGroup, HopMovesCoroutineAcrossShards) {
   EXPECT_EQ(times[0], 0);
   EXPECT_EQ(times[1], kW.ns());
   EXPECT_EQ(times[2], kW.ns() + SimTime::micros(7).ns() + kW.ns());
+}
+
+// On a standalone simulator (the classic core) hop(s, s) is the same no-op:
+// the coroutine does not suspend and no event is scheduled.
+TEST(ShardGroup, HopOnStandaloneSimulatorDoesNotSuspend) {
+  Simulator s;
+  bool done = false;
+  auto t = [](Simulator& sim, bool& flag) -> Task<> {
+    co_await hop(sim, sim);
+    flag = true;
+  }(s, done);
+  t.start();
+  EXPECT_TRUE(done) << "hop(s, s) suspended the coroutine";
+  EXPECT_TRUE(s.empty());
+  s.run();
+  EXPECT_EQ(s.events_executed(), 0u);
+  EXPECT_EQ(s.now(), SimTime::zero());
 }
 
 // ------------------------------------------------ worker-count invariance ----
