@@ -12,7 +12,10 @@
 // This operationalizes the paper's related-work discussion: collective I/O
 // and sieving only apply when the program can use them; iBridge fixes the
 // server side for any access pattern.
+//
+// Emits BENCH_baselines.json: write and read MB/s per approach.
 #include "bench/bench_common.hpp"
+#include "exp/gauge.hpp"
 #include "mpiio/collective.hpp"
 #include "mpiio/mpi.hpp"
 
@@ -93,38 +96,49 @@ double run_case(const Scale& scale, const cluster::ClusterConfig& cc,
 
 int main(int argc, char** argv) {
   const Scale scale = Scale::parse(argc, argv);
+  exp::Stopwatch sw;
+  exp::Gauge g("baselines");
   banner("Baselines", "65 KB unaligned access: middleware remedies vs iBridge");
 
   stats::Table t({"approach", "write MB/s", "read MB/s", "notes"});
   const auto stock = cluster::ClusterConfig::stock();
   const auto ib = cluster::ClusterConfig::with_ibridge();
+  auto mbps = [&](const char* key, const cluster::ClusterConfig& cc, Mode mode,
+                  bool write) {
+    const double v = run_case(scale, cc, mode, write);
+    g.set(key, v);
+    return stats::Table::fmt("%.1f", v);
+  };
 
   t.add_row({"independent, stock",
-             stats::Table::fmt("%.1f",
-                               run_case(scale, stock, Mode::kIndependent, true)),
-             stats::Table::fmt(
-                 "%.1f", run_case(scale, stock, Mode::kIndependent, false)),
+             mbps("independent.stock.write_mbps", stock, Mode::kIndependent,
+                  true),
+             mbps("independent.stock.read_mbps", stock, Mode::kIndependent,
+                  false),
              "fragments hit the disks"});
   t.add_row({"data sieving, stock", "n/a",
-             stats::Table::fmt("%.1f",
-                               run_case(scale, stock, Mode::kSieved, false)),
+             mbps("sieving.stock.read_mbps", stock, Mode::kSieved, false),
              "reads widened to 64 KB bounds"});
   t.add_row({"two-phase collective, stock",
-             stats::Table::fmt("%.1f",
-                               run_case(scale, stock, Mode::kCollective, true)),
-             stats::Table::fmt(
-                 "%.1f", run_case(scale, stock, Mode::kCollective, false)),
+             mbps("collective.stock.write_mbps", stock, Mode::kCollective,
+                  true),
+             mbps("collective.stock.read_mbps", stock, Mode::kCollective,
+                  false),
              "needs synchronized phases"});
   t.add_row({"independent, iBridge",
-             stats::Table::fmt("%.1f",
-                               run_case(scale, ib, Mode::kIndependent, true)),
-             stats::Table::fmt(
-                 "%.1f", run_case(scale, ib, Mode::kIndependent, false)),
+             mbps("independent.ibridge.write_mbps", ib, Mode::kIndependent,
+                  true),
+             mbps("independent.ibridge.read_mbps", ib, Mode::kIndependent,
+                  false),
              "transparent (the paper)"});
   t.print();
   std::printf("  collective I/O removes fragments by aggregation when the "
               "program can synchronize;\n  iBridge removes their cost "
               "without touching the program\n");
   footnote();
+  g.set_wall("seconds", sw.seconds());
+  if (!g.write_file()) {
+    std::fprintf(stderr, "warning: could not write BENCH_baselines.json\n");
+  }
   return 0;
 }

@@ -8,7 +8,10 @@
 //   write phase: N ranks write a checkpoint with unaligned 65 KB records
 //   read phase : M(!=N) ranks read the checkpoint back in aligned 64 KB
 //                blocks (the usual restart-with-different-rank-count case)
+//
+// Emits BENCH_plfs.json: checkpoint write and restart read MB/s per system.
 #include "bench/bench_common.hpp"
+#include "exp/gauge.hpp"
 #include "mpiio/mpi.hpp"
 #include "plfs/plfs.hpp"
 
@@ -127,6 +130,8 @@ PhaseResult run_flat(const Scale& scale, const cluster::ClusterConfig& cc) {
 
 int main(int argc, char** argv) {
   const Scale scale = Scale::parse(argc, argv);
+  exp::Stopwatch sw;
+  exp::Gauge g("plfs");
   banner("PLFS baseline",
          "checkpoint (unaligned 65 KB writes) then restart (aligned reads)");
 
@@ -141,6 +146,12 @@ int main(int argc, char** argv) {
   t.add_row({"iBridge", stats::Table::fmt("%.1f", ib.write_mbps),
              stats::Table::fmt("%.1f", ib.read_mbps)});
   t.print();
+  g.set("stock.write_mbps", stock.write_mbps);
+  g.set("stock.read_mbps", stock.read_mbps);
+  g.set("plfs.write_mbps", plfs.write_mbps);
+  g.set("plfs.read_mbps", plfs.read_mbps);
+  g.set("ibridge.write_mbps", ib.write_mbps);
+  g.set("ibridge.read_mbps", ib.read_mbps);
   std::printf(
       "  The paper's critique reproduces: the restart read scatters across "
       "the writers' logs\n  (locality lost), while iBridge keeps the flat "
@@ -149,5 +160,9 @@ int main(int argc, char** argv) {
       "modelled here (see EXPERIMENTS.md) that advantage does not "
       "materialize.\n");
   footnote();
+  g.set_wall("seconds", sw.seconds());
+  if (!g.write_file()) {
+    std::fprintf(stderr, "warning: could not write BENCH_plfs.json\n");
+  }
   return 0;
 }

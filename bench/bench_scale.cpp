@@ -5,7 +5,7 @@
 // requests on demand from a per-rank exp::WorkloadStream — no materialized
 // request list anywhere, so the workload's memory footprint is O(ranks),
 // not O(requests).  Servers fold onto a bounded shard-group fleet
-// (shard_group_size) with adaptive lookahead, so simulator state stays
+// (shard_group_size) drained by one worker thread, so simulator state stays
 // bounded while the modeled cluster grows 1000x.
 //
 //   bench_scale [--full] [--reps N] [--check] [--point small|mid|large]
@@ -16,10 +16,10 @@
 //
 // --check gates the scale machinery against the classic core on the small
 // point (exit 1 on failure):
-//   * classic (shards=0) vs grouped+adaptive sharded runs must agree on
+//   * classic (shards=0) vs grouped sharded runs must agree on
 //     every timing-invariant checksum (requests, client bytes, server
 //     bytes) — the request set is a pure function of the per-rank seeds;
-//   * the grouped+adaptive sharded run must be byte-identical across
+//   * the grouped sharded run must be byte-identical across
 //     worker counts (elapsed ns, events executed, bytes);
 //   * the steady-state serve path must be allocation-free: after a warmup
 //     prefix on a stock cluster, the remaining requests must allocate
@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -120,7 +119,6 @@ struct RunSpec {
   std::int64_t ranks = 1000;
   int shards = 8;           ///< worker budget (0 = classic single simulator)
   int group_size = 1;       ///< servers per shard
-  double adaptive_us = 0.0;
   bool ibridge = true;      ///< stock cluster when false (alloc phase)
   int reqs_per_rank = kReqsPerRank;
 };
@@ -171,7 +169,6 @@ ClusterConfig make_config(const RunSpec& spec) {
   cc.data_servers = spec.servers;
   cc.shards = spec.shards;
   cc.shard_group_size = spec.group_size;
-  cc.adaptive_window_us = spec.adaptive_us;
   cc.procs_per_node = 64;
   cc.client_nodes = static_cast<int>(
       std::max<std::int64_t>(1, spec.ranks / cc.procs_per_node));
@@ -237,19 +234,17 @@ RunResult run_cell(const RunSpec& spec, double* steady_allocs_per_req) {
   return r;
 }
 
-/// Sweep spec for a point: servers fold onto at most 8 server shards and
-/// windows widen up to 50 us beyond the wire latency.  The worker budget
-/// follows the host (threads beyond the core count only add barrier
-/// context switches); the model metrics are worker-invariant, so the
-/// tracked baseline holds on any host.
+/// Sweep spec for a point: servers fold onto at most 8 server shards,
+/// drained by one worker thread.  More workers are slower at every point
+/// (each window holds about two events, so the cross-thread handshake
+/// dominates); the model metrics are worker-invariant, so the tracked
+/// baseline holds at any worker count.
 RunSpec spec_for(const Point& p) {
   RunSpec s;
   s.servers = p.servers;
   s.ranks = p.ranks;
-  const unsigned hw = std::thread::hardware_concurrency();
-  s.shards = static_cast<int>(std::clamp(hw, 1u, 8u));
+  s.shards = 1;
   s.group_size = std::max(1, p.servers / 8);
-  s.adaptive_us = 50.0;
   return s;
 }
 
@@ -307,7 +302,7 @@ int main(int argc, char** argv) {
 
   ibridge::exp::Gauge g("scale");
   std::printf("scale campaign: per-rank streamed requests (%d/rank), shard "
-              "groups, adaptive lookahead\n",
+              "groups, 1 worker\n",
               kReqsPerRank);
   std::printf("  %-18s %12s %12s %12s %10s %12s\n", "point", "requests",
               "sim_s", "events", "wall_s", "ns/request");
@@ -343,11 +338,10 @@ int main(int argc, char** argv) {
   if (check) {
     const Point small{8, 1'000};  // gates always run at the small point
 
-    // 1. Classic vs grouped+adaptive sharded: timing-invariant checksums.
+    // 1. Classic vs grouped sharded: timing-invariant checksums.
     RunSpec classic = spec_for(small);
     classic.shards = 0;
     classic.group_size = 1;
-    classic.adaptive_us = 0.0;
     const RunResult rc_classic = run_cell(classic, nullptr);
     const RunResult rc_sharded = run_cell(spec_for(small), nullptr);
     const bool classic_match =
@@ -368,7 +362,7 @@ int main(int argc, char** argv) {
     }
     g.set("check.classic_match", classic_match ? 1.0 : 0.0);
 
-    // 2. Worker-count identity at the grouped+adaptive config: the full
+    // 2. Worker-count identity at the grouped config: the full
     // model metrics must be byte-identical at 1 vs 2 worker threads.
     RunSpec w1 = spec_for(small);
     w1.shards = 1;
@@ -399,7 +393,6 @@ int main(int argc, char** argv) {
     // before the measured window opens.
     RunSpec stock = spec_for(small);
     stock.shards = 0;
-    stock.adaptive_us = 0.0;
     stock.ibridge = false;
     stock.reqs_per_rank = 48;
     double steady = -1.0;

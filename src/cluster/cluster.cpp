@@ -64,10 +64,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     const int workers = cfg.shards < logical ? cfg.shards : logical;
     group_ = std::make_unique<sim::ShardGroup>(
         logical, cfg.network.wire_latency(), workers);
-    if (cfg.adaptive_window_us > 0.0) {
-      group_->set_adaptive_window(
-          sim::SimTime::from_seconds(cfg.adaptive_window_us / 1e6));
-    }
     front_ = &group_->shard(0);
     front_->reserve(client_events);
     for (int k = 0; k < logical; ++k) sims_.push_back(&group_->shard(k));

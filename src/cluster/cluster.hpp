@@ -51,12 +51,10 @@ struct ClusterConfig {
   /// differently and may legitimately order same-tick ties differently.
   int shard_group_size = 1;
 
-  /// Adaptive barrier-window cap in microseconds (0 = off).  When positive
-  /// it must be >= the network wire latency; windows then widen up to this
-  /// bound while other shards are idle or far in the future — fewer
-  /// barriers on sparse timelines.  See sim::ShardGroup::set_adaptive_window
-  /// for the safety argument.  Also part of the configuration: deterministic
-  /// across worker counts at any fixed setting.
+  /// Ignored.  Barrier windows are always the wire latency wide (see
+  /// sim/shard.hpp for why a wider cap is unsound).  Still declared only
+  /// because perfbench/perfbench.cpp assigns it; the next change to that
+  /// benchmark drops the assignment and this field.
   double adaptive_window_us = 0.0;
   pvfs::DataServerConfig server;
   net::NetworkParams network;

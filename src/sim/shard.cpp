@@ -19,7 +19,6 @@ ShardGroup::ShardGroup(int shards, SimTime lookahead, int workers)
   }
   workers_ = workers < 1 ? 1 : (workers > shards ? shards : workers);
   outbox_.resize(static_cast<std::size_t>(shards));
-  ends_.resize(static_cast<std::size_t>(shards), SimTime::zero());
   for (int i = 0; i < shards; ++i) {
     Simulator& s = sims_.emplace_back();
     s.group_ = this;
@@ -44,8 +43,13 @@ void ShardGroup::post(Simulator& from, Simulator& to, SimTime when,
                       InlineEvent fn) {
   assert(from.group_ == this && to.group_ == this);
   if (running_) {
-    assert(when >= from.now() + lookahead_ &&
-           "cross-shard post inside the lookahead horizon");
+    // Always on, not an assert: a post inside the horizon would land in a
+    // window the target may already have drained, and the release builds
+    // that run the sharded fuzz would miss it.  One compare per post.
+    if (when < from.now() + lookahead_) {
+      throw std::logic_error(
+          "ShardGroup::post: cross-shard post inside the lookahead horizon");
+    }
     outbox_[from.shard_id_].push_back(
         PostRec{when, to.shard_id_, std::move(fn)});
     return;
@@ -64,72 +68,18 @@ SimTime ShardGroup::next_time() const {
   return m;
 }
 
-void ShardGroup::set_adaptive_window(SimTime max_window) {
-  assert(!running_ && "set_adaptive_window is driver-phase only");
-  if (max_window == SimTime::zero()) {
-    adaptive_ = SimTime::zero();
-    return;
-  }
-  if (max_window < lookahead_) {
-    throw std::invalid_argument(
-        "ShardGroup: adaptive window must be >= lookahead");
-  }
-  adaptive_ = max_window;
-}
-
 void ShardGroup::set_barrier_hook(std::function<void(SimTime)> hook) {
   assert(!running_ && "set_barrier_hook is driver-phase only");
   barrier_hook_ = std::move(hook);
 }
 
-void ShardGroup::place_windows(SimTime m, SimTime cap) {
-  const std::size_t n = sims_.size();
-  const SimTime base = m + lookahead_;
-  if (adaptive_ == SimTime::zero()) {
-    const SimTime e = base < cap ? base : cap;
-    for (std::size_t s = 0; s < n; ++s) ends_[s] = e;
-    return;
-  }
-  // Two smallest next-event times over all shards: shard s's bound depends
-  // on the minimum over the *other* shards, which is min2 when s itself is
-  // the argmin and min1 otherwise.  O(shards), single-threaded, and a pure
-  // function of worker-invariant state.
-  SimTime t1 = SimTime::max();
-  SimTime t2 = SimTime::max();
-  std::size_t arg1 = n;
-  for (std::size_t s = 0; s < n; ++s) {
-    const SimTime t = sims_[s].next_event_time();
-    if (t < t1) {
-      t2 = t1;
-      t1 = t;
-      arg1 = s;
-    } else if (t < t2) {
-      t2 = t;
-    }
-  }
-  const SimTime wide = m + adaptive_;
-  for (std::size_t s = 0; s < n; ++s) {
-    const SimTime other = s == arg1 ? t2 : t1;
-    SimTime e = wide;
-    if (other != SimTime::max() && other + lookahead_ < e) {
-      e = other + lookahead_;
-    }
-    if (e < base) e = base;  // never narrower than the classic window
-    ends_[s] = e < cap ? e : cap;
-  }
-}
-
 void ShardGroup::run_window() {
-  const int n = shards();
   if (workers_ == 1) {
     // Same code path semantically as the threaded branch: running_ must be
     // true so posts buffer into outboxes and merge at the barrier — that is
     // what keeps one worker byte-identical to many.
     running_ = true;
-    for (int s = 0; s < n; ++s) {
-      const std::size_t i = static_cast<std::size_t>(s);
-      sims_[i].drain_window(ends_[i]);
-    }
+    for (Simulator& s : sims_) s.drain_window(end_);
     running_ = false;
     return;
   }
@@ -140,9 +90,10 @@ void ShardGroup::run_window() {
     ++epoch_;
   }
   cv_work_.notify_all();
+  const int n = shards();
   for (int s = 0; s < n; s += workers_) {
     const std::size_t i = static_cast<std::size_t>(s);
-    sims_[i].drain_window(ends_[i]);
+    sims_[i].drain_window(end_);
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -163,7 +114,7 @@ void ShardGroup::worker_loop(int w) {
     const int n = shards();
     for (int s = w; s < n; s += workers_) {
       const std::size_t i = static_cast<std::size_t>(s);
-      sims_[i].drain_window(ends_[i]);
+      sims_[i].drain_window(end_);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -200,23 +151,34 @@ void ShardGroup::sync_clocks(SimTime t) {
   for (Simulator& s : sims_) s.advance_to(t);
 }
 
-void ShardGroup::run_all() {
-  for (;;) {
-    const SimTime m = next_time();
-    if (m == SimTime::max()) break;
-    // At this point every event strictly before `m` has executed on every
-    // shard and no worker is running: the coherent horizon for the hook.
-    if (barrier_hook_) barrier_hook_(m);
-    place_windows(m, SimTime::max());
-    run_window();
-    deliver();
-    ++windows_;
-  }
+SimTime ShardGroup::latest_now() const {
   SimTime latest = SimTime::zero();
   for (const Simulator& s : sims_) {
     if (s.now() > latest) latest = s.now();
   }
-  sync_clocks(latest);
+  return latest;
+}
+
+bool ShardGroup::run_windows(SimTime stop, const std::function<bool()>& done) {
+  for (;;) {
+    const SimTime m = next_time();
+    if (m >= stop) return false;
+    // At this point every event strictly before `m` has executed on every
+    // shard and no worker is running: the coherent horizon for the hook.
+    if (barrier_hook_) barrier_hook_(m);
+    // A post made at t >= m arrives at >= m + W, so no shard can receive
+    // one before this end.
+    end_ = std::min(m + lookahead_, stop);
+    run_window();
+    deliver();
+    ++windows_;
+    if (done && done()) return true;
+  }
+}
+
+void ShardGroup::run_all() {
+  run_windows(SimTime::max(), nullptr);
+  sync_clocks(latest_now());
 }
 
 void ShardGroup::run_all_until(SimTime deadline) {
@@ -225,37 +187,14 @@ void ShardGroup::run_all_until(SimTime deadline) {
   const SimTime stop = deadline == SimTime::max()
                            ? deadline
                            : deadline + SimTime::nanos(1);
-  for (;;) {
-    const SimTime m = next_time();
-    if (m > deadline) break;
-    if (barrier_hook_) barrier_hook_(m);
-    place_windows(m, stop);
-    run_window();
-    deliver();
-    ++windows_;
-  }
+  run_windows(stop, nullptr);
   sync_clocks(deadline);
 }
 
 bool ShardGroup::run_all_while_pending(const std::function<bool()>& done) {
-  if (done()) return true;
-  for (;;) {
-    const SimTime m = next_time();
-    if (m == SimTime::max()) {
-      SimTime latest = SimTime::zero();
-      for (const Simulator& s : sims_) {
-        if (s.now() > latest) latest = s.now();
-      }
-      sync_clocks(latest);
-      return done();
-    }
-    if (barrier_hook_) barrier_hook_(m);
-    place_windows(m, SimTime::max());
-    run_window();
-    deliver();
-    ++windows_;
-    if (done()) return true;
-  }
+  if (done() || run_windows(SimTime::max(), done)) return true;
+  sync_clocks(latest_now());
+  return done();
 }
 
 std::uint64_t ShardGroup::events_executed() const {

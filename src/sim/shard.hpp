@@ -38,23 +38,12 @@
 // lookahead of zero would admit same-instant cross-shard cycles, so the
 // constructor rejects it.
 //
-// Adaptive lookahead (set_adaptive_window) widens windows past the minimum
-// `M + W` when other shards are idle or far in the future.  Window ends are
-// *static per-shard bounds* computed single-threaded at each barrier:
-//
-//   E_d = clamp( min over s != d of (T_s + W),  M + W,  M + A_max )
-//
-// where T_s is shard s's next pending event time and A_max is the adaptive
-// cap.  Safety: cross-shard posts are delivered only at barriers, so during
-// a window shard s's emissions are triggered solely by its own local events,
-// all at t >= T_s; every post from s therefore arrives at >= T_s + W >= E_d
-// for every d != s.  If every other shard is empty it cannot post at all, so
-// E_d may stretch to M + A_max.  The bounds are a pure function of the
-// worker-invariant T_s values, so the schedule stays byte-identical at any
-// worker count.  Wider windows do change how many posts meet at one barrier
-// merge, so an adaptive run's same-tick tie-breaks (and digests) may differ
-// from a non-adaptive run of the same model — identity is per configuration,
-// across worker counts, exactly as for the base scheme.
+// Every window has the same end for every shard.  A per-shard bound of
+// `min over s != d of (T_s + W)` looks safe but is not: a post from d can
+// reach an idle shard at T_d + W, and that shard's reply can be back at
+// T_d + 2W, inside a window d drained past it.  Wider windows have to come
+// from lookahead the model guarantees (e.g. a server's minimum service
+// time), not from the window rule.
 //
 // Shard *groups* (cluster::Cluster maps many data servers onto one shard)
 // need no support here beyond what post()/hop() already provide: shards are
@@ -98,14 +87,6 @@ class ShardGroup {
   int workers() const { return workers_; }
   SimTime lookahead() const { return lookahead_; }
 
-  /// Enable adaptive lookahead with windows capped at `max_window` past the
-  /// global minimum (see the header comment for the per-shard bound and its
-  /// safety argument).  Zero disables (the default); otherwise `max_window`
-  /// must be >= lookahead() — throws std::invalid_argument if not.  Driver
-  /// phase only.
-  void set_adaptive_window(SimTime max_window);
-  SimTime adaptive_window() const { return adaptive_; }
-
   /// Install a hook invoked single-threaded at every barrier, passing the
   /// horizon time T: every event strictly before T has executed on every
   /// shard and no worker is running, so the hook may read cross-shard state
@@ -122,9 +103,12 @@ class ShardGroup {
   /// Cross-shard send: run `fn` on `to`'s shard at absolute time `when`.
   /// `from` must be the shard the caller is currently executing on.  Inside
   /// a window the post is buffered in `from`'s outbox and merged at the
-  /// barrier (`when` must respect the lookahead: when >= from.now() +
-  /// lookahead).  Outside a window it is scheduled directly (clamped to
-  /// `to`'s clock, which driver-phase code may not have advanced).
+  /// barrier; `when` must respect the lookahead (when >= from.now() +
+  /// lookahead), else std::logic_error is thrown in every build.  On a pool
+  /// worker that throw terminates the process; on the calling thread it
+  /// propagates out of the run_all family and leaves the group unusable.
+  /// Outside a window the post is scheduled directly (clamped to `to`'s
+  /// clock, which driver-phase code may not have advanced).
   void post(Simulator& from, Simulator& to, SimTime when, InlineEvent fn);
 
   /// Run windows until every shard's queue drains, then advance all shard
@@ -160,11 +144,14 @@ class ShardGroup {
 
   /// Earliest pending event across shards (SimTime::max() when drained).
   SimTime next_time() const;
-  /// Compute per-shard window ends into `ends_` for a window starting at
-  /// global minimum `m`, each clamped to `cap`.  Single-threaded.
-  void place_windows(SimTime m, SimTime cap);
-  /// Drain every shard's events strictly before its `ends_` bound, in
-  /// parallel.
+  /// Latest shard clock.
+  SimTime latest_now() const;
+  /// The window loop behind the run_all family: while the earliest pending
+  /// event M is before `stop`, drain every shard to min(M + W, stop), then
+  /// merge posts.  Returns true as soon as `done` (if set) holds at a
+  /// barrier.
+  bool run_windows(SimTime stop, const std::function<bool()>& done);
+  /// Drain every shard's events strictly before `end_`, in parallel.
   void run_window();
   /// Barrier merge: move buffered posts onto their target shards in
   /// (when, src shard, send order) order.  Single-threaded.
@@ -176,9 +163,8 @@ class ShardGroup {
 
   std::deque<Simulator> sims_;  // deque: stable addresses, non-movable elems
   SimTime lookahead_;
-  SimTime adaptive_ = SimTime::zero();  ///< max window width; zero = off
   int workers_;
-  std::vector<SimTime> ends_;  ///< per-shard window ends for this window
+  SimTime end_ = SimTime::zero();  ///< end of the window being drained
   std::function<void(SimTime)> barrier_hook_;
 
   // Outboxes are written lock-free during a window: outbox_[s] is touched
@@ -194,8 +180,8 @@ class ShardGroup {
   // Worker pool (exp::Runner-style mutex + condvar handshake).  Worker w
   // drains shards {s : s % workers_ == w}; worker 0 is the calling thread,
   // so shard 0 — and any predicate/driver state living there — is always
-  // drained by the caller itself.  Workers read the per-shard bounds from
-  // `ends_`, which the caller fills before bumping the epoch under mu_.
+  // drained by the caller itself.  Workers read the window end from `end_`,
+  // which the caller sets before bumping the epoch under mu_.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

@@ -141,9 +141,8 @@ TEST(Cluster, ServerCountIsConfigurable) {
 }
 
 // Shard groups at the cluster level: many servers fold onto a handful of
-// shards, adaptive lookahead widens the barrier windows, and the result is
-// still a pure function of the configuration — byte-identical across
-// worker counts.
+// shards, and the result is still a pure function of the configuration —
+// byte-identical across worker counts.
 TEST(Cluster, ShardGroupsAreWorkerCountInvariant) {
   auto cfg = quick(65 * 1024, true);
   cfg.access_bytes = 16 << 20;
@@ -152,7 +151,6 @@ TEST(Cluster, ShardGroupsAreWorkerCountInvariant) {
     cc.data_servers = 8;
     cc.shards = workers;
     cc.shard_group_size = 3;  // 8 servers -> 3 server shards + front shard
-    cc.adaptive_window_us = 50.0;
     Cluster c(cc);
     const auto r = run_mpi_io_test(c, cfg);
     return std::tuple{r.elapsed.ns(), r.bytes,

@@ -673,12 +673,11 @@ sim::Task<> write_then_read(mpiio::MpiContext ctx, mpiio::MpiFile file) {
 
 /// The unaligned read workload, plus one unaligned write per rank so the
 /// write-back drain runs, on a grouped cluster: 8 servers folded three to a
-/// shard (4 shards), adaptive windows, `workers` threads.
+/// shard (4 shards), `workers` threads.
 PublishedRows profile_sharded(int workers, std::uint64_t* group_events) {
   cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
   cfg.data_servers = 8;
   cfg.shard_group_size = 3;
-  cfg.adaptive_window_us = 50.0;
   cfg.shards = workers;
   cluster::Cluster c(cfg);
   SimProfiler prof;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -234,10 +235,8 @@ struct MeshResult {
   std::vector<std::int64_t> final_ns;
 };
 
-MeshResult run_mesh(int shards, int workers, std::uint64_t seed,
-                    SimTime adaptive = SimTime::zero()) {
+MeshResult run_mesh(int shards, int workers, std::uint64_t seed) {
   ShardGroup g(shards, kW, workers);
-  if (adaptive != SimTime::zero()) g.set_adaptive_window(adaptive);
   MeshResult r;
   r.logs.resize(static_cast<std::size_t>(shards));
   // One RNG stream per shard, touched only by that shard's events: the
@@ -307,106 +306,43 @@ TEST(ShardGroup, ScheduleIsInvariantUnderWorkerCount) {
   }
 }
 
-// ---------------------------------------------------- adaptive lookahead ----
+// ------------------------------------------------------ lookahead rule ----
 
-TEST(ShardGroup, AdaptiveWindowValidation) {
+// A post inside the lookahead horizon could land in a window its target has
+// already drained.  post() rejects it in every build, not only where
+// asserts are compiled in.
+TEST(ShardGroup, PostInsideLookaheadThrows) {
   ShardGroup g(2, kW, 1);
-  EXPECT_THROW(g.set_adaptive_window(SimTime::nanos(kW.ns() - 1)),
-               std::invalid_argument);
-  g.set_adaptive_window(kW);                    // == lookahead: allowed
-  g.set_adaptive_window(SimTime::micros(500));  // wider: allowed
-  EXPECT_EQ(g.adaptive_window(), SimTime::micros(500));
-  g.set_adaptive_window(SimTime::zero());  // zero disables
-  EXPECT_EQ(g.adaptive_window(), SimTime::zero());
-}
-
-// When other shards are quiescent far into the future, adaptive lookahead
-// must widen the busy shard's window beyond the minimum W instead of
-// stepping W at a time — the property that makes widely-spaced shard-group
-// workloads affordable.  The executed schedule itself must not change.
-TEST(ShardGroup, AdaptiveWindowWidensWindows) {
-  auto run = [](SimTime adaptive) {
-    ShardGroup g(2, kW, 1);
-    if (adaptive != SimTime::zero()) g.set_adaptive_window(adaptive);
-    std::vector<std::int64_t> log;
-    // Shard 0: a long chain of local events 1us apart; shard 1: one far
-    // event.  No cross-shard traffic, so windows can legally widen to the
-    // adaptive cap.
-    struct Chain {
-      Simulator* s;
-      std::vector<std::int64_t>* log;
-      void fire(int left) {
-        log->push_back(s->now().ns());
-        if (left > 0) {
-          s->schedule(SimTime::micros(1),
-                      InlineEvent([this, left] { fire(left - 1); }));
-        }
-      }
-    };
-    Chain chain{&g.shard(0), &log};
-    g.shard(0).schedule_at(SimTime::zero(),
-                           InlineEvent([&chain] { chain.fire(200); }));
-    g.shard(1).schedule_at(SimTime::micros(400),
-                           InlineEvent([&log, &g] {
-                             log.push_back(-g.shard(1).now().ns());
-                           }));
-    g.run_all();
-    return std::make_pair(log, g.windows_run());
-  };
-
-  const auto [base_log, base_windows] = run(SimTime::zero());
-  const auto [wide_log, wide_windows] = run(SimTime::micros(100));
-  EXPECT_EQ(wide_log, base_log) << "adaptive widening changed the schedule";
-  // 200us of 1us-spaced events at W=10us needs >=20 windows without
-  // adaptive; with a 100us cap the idle-peer bound lets each window span
-  // up to 100us.
-  EXPECT_GE(base_windows, 20u);
-  EXPECT_LT(wide_windows * 4, base_windows)
-      << "adaptive cap did not widen windows (wide=" << wide_windows
-      << " base=" << base_windows << ")";
-}
-
-// The full invariance property holds with adaptive lookahead on: window
-// placement is a pure function of worker-invariant next-event times, so
-// the schedule (and even the window count) stays byte-identical across
-// worker counts.
-TEST(ShardGroup, ScheduleInvariantUnderWorkerCountWithAdaptive) {
-  const SimTime cap = SimTime::micros(80);
-  const MeshResult base = run_mesh(/*shards=*/5, /*workers=*/1, 0x5eedf00d,
-                                   cap);
-  EXPECT_GT(base.posts, 0u) << "mesh never crossed a shard — weak scenario";
-  for (int workers : {2, 5}) {
-    const MeshResult par = run_mesh(5, workers, 0x5eedf00d, cap);
-    EXPECT_EQ(par.logs, base.logs) << "workers=" << workers;
-    EXPECT_EQ(par.executed, base.executed) << "workers=" << workers;
-    EXPECT_EQ(par.windows, base.windows) << "workers=" << workers;
-    EXPECT_EQ(par.posts, base.posts) << "workers=" << workers;
-    EXPECT_EQ(par.final_ns, base.final_ns) << "workers=" << workers;
-  }
-}
-
-// Cross-shard posts keep the conservative bound honest under adaptive
-// widening: a post arriving at exactly T+W must not be missed by a window
-// that widened past it.
-TEST(ShardGroup, AdaptiveWindowStillDeliversMinimumLatencyPosts) {
-  ShardGroup g(2, kW, 1);
-  g.set_adaptive_window(SimTime::micros(200));
-  std::vector<std::pair<int, std::int64_t>> order;
-  g.shard(1).schedule_at(kW, InlineEvent([&] {
-    order.emplace_back(1, g.shard(1).now().ns());
-  }));
   g.shard(0).schedule_at(SimTime::zero(), InlineEvent([&] {
-    order.emplace_back(0, g.shard(0).now().ns());
-    g.post(g.shard(0), g.shard(1), g.shard(0).now() + kW, InlineEvent([&] {
-      order.emplace_back(2, g.shard(1).now().ns());
+    g.post(g.shard(0), g.shard(1), SimTime::nanos(kW.ns() - 1),
+           InlineEvent([] {}));
+  }));
+  EXPECT_THROW(g.run_all(), std::logic_error);
+}
+
+// Shard 0 posts at t=0 to an idle shard 1, which replies at once, so the
+// reply reaches shard 0 at 2W.  Shard 0's own event at 50us must run after
+// it: a window end that counts only the other shards' pending events
+// misses this round trip and lets shard 0 drain past 2W.
+TEST(ShardGroup, RoundTripThroughIdleShardStaysCausal) {
+  ShardGroup g(2, kW, 1);
+  Simulator& s0 = g.shard(0);
+  Simulator& s1 = g.shard(1);
+  std::vector<std::int64_t> seen;  // shard 0's clock at each of its events
+  s0.schedule_at(SimTime::zero(), InlineEvent([&] {
+    seen.push_back(s0.now().ns());
+    g.post(s0, s1, s0.now() + kW, InlineEvent([&] {
+      g.post(s1, s0, s1.now() + kW,
+             InlineEvent([&] { seen.push_back(s0.now().ns()); }));
     }));
   }));
+  s0.schedule_at(SimTime::micros(50),
+                 InlineEvent([&] { seen.push_back(s0.now().ns()); }));
   g.run_all();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], std::make_pair(0, std::int64_t{0}));
-  EXPECT_EQ(order[1], std::make_pair(1, kW.ns()));
-  EXPECT_EQ(order[2], std::make_pair(2, kW.ns()));
-  EXPECT_EQ(g.posts_delivered(), 1u);
+  const std::vector<std::int64_t> want{0, 2 * kW.ns(),
+                                       SimTime::micros(50).ns()};
+  EXPECT_EQ(seen, want) << "shard 0's clock must be monotone";
+  EXPECT_EQ(g.posts_delivered(), 2u);
 }
 
 // The barrier hook fires single-threaded between windows with the horizon
@@ -477,8 +413,8 @@ CaseDigests digests_at(FuzzCase c, int shards) {
 // The acceptance criterion, in-tree: full differential cases produce
 // byte-identical digests at every shard/worker count >= 1, healthy and
 // under mixed fault injection.  Every other iteration also turns on shard
-// groups (several servers per shard) and adaptive lookahead — the grouped
-// configuration must be just as worker-count invariant as the classic one.
+// groups (several servers per shard) — the grouped configuration must be
+// just as worker-count invariant as the classic one.
 // (ctest -L fuzz scales the fleet up.)
 TEST(ShardFuzz, DifferentialDigestsInvariantUnderShardCount) {
   const int iters = std::max(3, fuzz_iterations(200) / 40);
@@ -492,7 +428,6 @@ TEST(ShardFuzz, DifferentialDigestsInvariantUnderShardCount) {
     }
     if (i % 2 == 0) {
       c.base.shard_group_size = 2 + static_cast<int>(seed % 3);
-      c.base.adaptive_window_us = 40.0;
     }
     const CaseDigests base = digests_at(c, 1);
     // Random shard counts, always including one above the logical shard

@@ -115,7 +115,6 @@ TEST(WorkloadStreamFuzz, ReplayInvariantUnderShardCount) {
     auto cc = cluster::ClusterConfig::with_ibridge();
     cc.shards = shards;
     cc.shard_group_size = 2;
-    cc.adaptive_window_us = 30.0;
     cluster::Cluster c(cc);
     exp::WorkloadStream stream = synth.stream(rc.file_bytes, seed);
     return result_key(replay_stream(c, stream, 150, rc));

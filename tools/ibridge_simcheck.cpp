@@ -1,7 +1,7 @@
 // ibridge-simcheck — standalone SimCheck fuzz runner.
 //
 //   ibridge-simcheck [--iters N] [--seed S] [--jobs J] [--shards K]
-//                    [--group-size G] [--adaptive US]
+//                    [--group-size G]
 //                    [--determinism] [--faults healthy|gc|crash|mixed]
 //                    [--digests FILE] [--out FILE]
 //
@@ -25,11 +25,10 @@
 // healthy and under --faults alike, which is exactly what the CI
 // shard-digest-identity job asserts.
 //
-// --group-size G maps G data servers onto each logical shard and
-// --adaptive US caps the adaptive barrier window at US microseconds (the
-// scale-campaign configuration).  Both are part of the *configuration*: at
-// any fixed (G, US) the digests stay byte-identical across every K >= 1,
-// so CI repeats the identity sweep with them set.  They only apply when
+// --group-size G maps G data servers onto each logical shard (the
+// scale-campaign configuration).  G is part of the *configuration*: at any
+// fixed G the digests stay byte-identical across every K >= 1, so CI
+// repeats the identity sweep with it set.  It only applies when
 // --shards K >= 1.
 //
 // --jobs J fans the independent cases over an exp::Runner thread pool; each
@@ -71,7 +70,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: ibridge-simcheck [--iters N] [--seed S] [--jobs J] "
-               "[--shards K] [--group-size G] [--adaptive US] "
+               "[--shards K] [--group-size G] "
                "[--determinism] [--faults healthy|gc|crash|mixed] "
                "[--digests FILE] [--out FILE]\n");
   return 2;
@@ -100,7 +99,6 @@ int main(int argc, char** argv) {
   int jobs = 1;
   int shards = 0;
   int group_size = 1;
-  double adaptive_us = 0.0;
   bool determinism = false;
   fault::Scenario scenario = fault::Scenario::kHealthy;
   std::string out;
@@ -121,9 +119,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--group-size") == 0 && i + 1 < argc) {
       group_size = static_cast<int>(exp::require_int(
           "ibridge-simcheck", "--group-size", argv[++i], 1, 4096));
-    } else if (std::strcmp(argv[i], "--adaptive") == 0 && i + 1 < argc) {
-      adaptive_us = static_cast<double>(exp::require_int(
-          "ibridge-simcheck", "--adaptive", argv[++i], 0, 1000000));
     } else if (std::strcmp(argv[i], "--determinism") == 0) {
       determinism = true;
     } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
@@ -160,7 +155,6 @@ int main(int argc, char** argv) {
         FuzzCase c = generate_case(r.seed);
         c.base.shards = shards;
         c.base.shard_group_size = group_size;
-        c.base.adaptive_window_us = adaptive_us;
         apply_faults(c, scenario);
         r.d = run_differential(c);
         r.failure = r.d.failure;
@@ -216,7 +210,6 @@ int main(int argc, char** argv) {
     FuzzCase c = generate_case(r.seed);
     c.base.shards = shards;
     c.base.shard_group_size = group_size;
-    c.base.adaptive_window_us = adaptive_us;
     apply_faults(c, scenario);
     std::printf("shrinking (%zu records)...\n", c.trace.size());
     auto fails = [&](const workloads::Trace& t) {
