@@ -2,11 +2,12 @@
 // choice DESIGN.md calls out:
 //   1. Equation (3) fragment boost on/off
 //   2. Eq. (1) decay weight (1/8 vs alternatives)
-//   3. log-structured vs in-place SSD cache writes (emulated by forcing
-//      random placement through a tiny segment size)
+//   3. admission policy: return-based vs always-small vs hot-block (BTIO)
 //   4. CFQ anticipation window (disk idling) sweep
-//   5. write-back daemon on/off (drain-only)
+//   5. write-back daemon interval sweep
+// Every table cell is also a model key of BENCH_ablation.json.
 #include "bench/bench_common.hpp"
+#include "exp/gauge.hpp"
 
 using namespace ibridge;
 using namespace ibridge::bench;
@@ -29,34 +30,37 @@ double run65k(const Scale& scale, const cluster::ClusterConfig& cc,
 
 int main(int argc, char** argv) {
   const Scale scale = Scale::parse(argc, argv);
+  exp::Stopwatch sw;
+  exp::Gauge g("ablation");
 
   banner("Ablation 1", "Equation (3) striping-magnification boost");
   {
     core::IBridgeConfig on;
     core::IBridgeConfig off;
     off.fragment_boost = false;
+    const double mbps_on =
+        run65k(scale, cluster::ClusterConfig::with_ibridge(on));
+    const double mbps_off =
+        run65k(scale, cluster::ClusterConfig::with_ibridge(off));
+    g.set("boost.on.write_mbps", mbps_on);
+    g.set("boost.off.write_mbps", mbps_off);
     stats::Table t({"variant", "65 KB write MB/s"});
-    t.add_row({"boost on (paper)",
-               stats::Table::fmt(
-                   "%.1f", run65k(scale,
-                                  cluster::ClusterConfig::with_ibridge(on)))});
-    t.add_row({"boost off",
-               stats::Table::fmt(
-                   "%.1f", run65k(scale,
-                                  cluster::ClusterConfig::with_ibridge(off)))});
+    t.add_row({"boost on (paper)", stats::Table::fmt("%.1f", mbps_on)});
+    t.add_row({"boost off", stats::Table::fmt("%.1f", mbps_off)});
     t.print();
   }
 
   banner("Ablation 2", "Equation (1) decay weight on the old average");
   {
     stats::Table t({"old weight", "65 KB write MB/s"});
-    for (double w : {1.0 / 8.0, 1.0 / 2.0, 7.0 / 8.0}) {
+    for (int eighths : {1, 4, 7}) {
       core::IBridgeConfig ib;
-      ib.t_old_weight = w;
-      t.add_row({stats::Table::fmt("%.3f", w),
-                 stats::Table::fmt(
-                     "%.1f",
-                     run65k(scale, cluster::ClusterConfig::with_ibridge(ib)))});
+      ib.t_old_weight = eighths / 8.0;
+      const double mbps =
+          run65k(scale, cluster::ClusterConfig::with_ibridge(ib));
+      g.set("decay." + std::to_string(eighths) + "_8.write_mbps", mbps);
+      t.add_row({stats::Table::fmt("%.3f", ib.t_old_weight),
+                 stats::Table::fmt("%.1f", mbps)});
     }
     t.print();
     std::printf("  paper uses 1/8 (Linux anticipatory-scheduler weights)\n");
@@ -66,6 +70,8 @@ int main(int argc, char** argv) {
          "admission policy: iBridge vs always-small vs hot-block (BTIO)");
   {
     stats::Table t({"policy", "BTIO exec (s)"});
+    const char* keys[] = {"return_based", "always_small", "hot_block"};
+    int k = 0;
     for (auto [label, policy] :
          {std::pair{"return-based (iBridge)",
                     core::AdmissionPolicy::kReturnBased},
@@ -78,8 +84,9 @@ int main(int argc, char** argv) {
       workloads::BtIoConfig cfg;
       cfg.nprocs = 16;
       cfg.time_steps = scale.btio_steps;
-      t.add_row({label, stats::Table::fmt(
-                            "%.2f", run_btio(c, cfg).elapsed.to_seconds())});
+      const double secs = run_btio(c, cfg).elapsed.to_seconds();
+      g.set(std::string("admission.") + keys[k++] + ".btio_s", secs);
+      t.add_row({label, stats::Table::fmt("%.2f", secs)});
     }
     t.print();
     std::printf("  hot-block caches a region only after repeated access, so "
@@ -91,11 +98,13 @@ int main(int argc, char** argv) {
   banner("Ablation 4", "disk anticipation window (CFQ idling)");
   {
     stats::Table t({"anticipation", "65 KB read MB/s (stock)"});
-    for (double ms : {0.0, 1.2, 3.0}) {
+    for (int us : {0, 1200, 3000}) {
       auto cc = cluster::ClusterConfig::stock();
-      cc.server.hdd.anticipation_ms = ms;
-      t.add_row({stats::Table::fmt("%.1f ms", ms),
-                 stats::Table::fmt("%.1f", run65k(scale, cc, false))});
+      cc.server.hdd.anticipation_ms = us / 1000.0;
+      const double mbps = run65k(scale, cc, false);
+      g.set("anticipation." + std::to_string(us) + "us.read_mbps", mbps);
+      t.add_row({stats::Table::fmt("%.1f ms", cc.server.hdd.anticipation_ms),
+                 stats::Table::fmt("%.1f", mbps)});
     }
     t.print();
   }
@@ -106,14 +115,19 @@ int main(int argc, char** argv) {
     for (int ms : {10, 50, 500}) {
       core::IBridgeConfig ib;
       ib.writeback_interval = sim::SimTime::millis(ms);
+      const double mbps =
+          run65k(scale, cluster::ClusterConfig::with_ibridge(ib));
+      g.set("writeback." + std::to_string(ms) + "ms.write_mbps", mbps);
       t.add_row({stats::Table::fmt("%lld ms", static_cast<long long>(ms)),
-                 stats::Table::fmt(
-                     "%.1f",
-                     run65k(scale, cluster::ClusterConfig::with_ibridge(ib)))});
+                 stats::Table::fmt("%.1f", mbps)});
     }
     t.print();
   }
 
   footnote();
+  g.set_wall("seconds", sw.seconds());
+  if (!g.write_file()) {
+    std::fprintf(stderr, "warning: could not write BENCH_ablation.json\n");
+  }
   return 0;
 }

@@ -14,11 +14,13 @@
 // deterministic model metrics (simulated seconds, requests, bytes) into
 // BENCH_scale.json.
 //
-// --check gates the scale machinery against the classic core on the small
-// point (exit 1 on failure):
-//   * classic (shards=0) vs grouped sharded runs must agree on
+// --check gates the scale machinery against the one-shard layout on the
+// small point (exit 1 on failure; the gauge key and report still call that
+// layout "classic"):
+//   * one-shard (shards=0) vs grouped sharded runs must agree on
 //     every timing-invariant checksum (requests, client bytes, server
-//     bytes) — the request set is a pure function of the per-rank seeds;
+//     bytes) — the request set is a pure function of the per-rank seeds,
+//     while timing differs because the two layouts are different models;
 //   * the grouped sharded run must be byte-identical across
 //     worker counts (elapsed ns, events executed, bytes);
 //   * the steady-state serve path must be allocation-free: after a warmup
@@ -117,7 +119,7 @@ struct Point {
 struct RunSpec {
   int servers = 8;
   std::int64_t ranks = 1000;
-  int shards = 8;           ///< worker budget (0 = classic single simulator)
+  int shards = 8;           ///< worker budget (0 = one-shard layout)
   int group_size = 1;       ///< servers per shard
   bool ibridge = true;      ///< stock cluster when false (alloc phase)
   int reqs_per_rank = kReqsPerRank;
@@ -338,7 +340,7 @@ int main(int argc, char** argv) {
   if (check) {
     const Point small{8, 1'000};  // gates always run at the small point
 
-    // 1. Classic vs grouped sharded: timing-invariant checksums.
+    // 1. One-shard vs grouped sharded: timing-invariant checksums.
     RunSpec classic = spec_for(small);
     classic.shards = 0;
     classic.group_size = 1;
@@ -387,7 +389,7 @@ int main(int argc, char** argv) {
     g.set("check.worker_match", worker_match ? 1.0 : 0.0);
 
     // 3. Allocation-free steady state on a stock cluster (no cache
-    // daemons), classic core so the count sees only the serve path.
+    // daemons), one-shard layout so the count sees only the serve path.
     // 48 requests/rank gives the warmup half a long runway: every pool,
     // ring, histogram lane, and scheduler map reaches its high-water mark
     // before the measured window opens.

@@ -62,8 +62,8 @@ std::uint64_t table_digest(const core::MappingTable& t);
 /// serializes the bookkeeping, and the monotone-time audit is keyed per
 /// simulator (shard clocks advance independently inside a window, so a
 /// global ordering across shards would be a false positive).  On the
-/// classic core every cache shares one simulator — a single key — which
-/// is exactly the old global check.
+/// one-shard layout every cache shares one simulator — a single key —
+/// which is a global check.
 class InvariantOracle : public core::CacheObserver {
  public:
   void on_check(const core::IBridgeCache& cache, const char* where) override;

@@ -41,49 +41,47 @@ storage::SeekProfile profile_disk(const storage::HddParams& params) {
   return storage::DeviceProfiler().profile(scratch, disk);
 }
 
-Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
+namespace {
+
+/// The shard that runs data server `i`: shard 0 on the one-shard layout
+/// (cfg.shards == 0), else 1 + i / G behind the client/MDS shard.
+int server_shard(const ClusterConfig& cfg, int i) {
+  if (cfg.shards < 1) return 0;
+  return 1 + i / (cfg.shard_group_size < 1 ? 1 : cfg.shard_group_size);
+}
+
+int shard_count(const ClusterConfig& cfg) {
+  return cfg.data_servers == 0 ? 1
+                               : server_shard(cfg, cfg.data_servers - 1) + 1;
+}
+
+}  // namespace
+
+// The barrier lookahead is the network wire latency — the minimum time any
+// cross-shard interaction takes.  ShardGroup rejects a non-positive one, so
+// a zero-latency network throws on every layout.  cfg.shards caps the
+// worker threads (ShardGroup clamps it to [1, shards]), so any shards >= 1
+// gives byte-identical results for a fixed grouping.
+Cluster::Cluster(const ClusterConfig& cfg)
+    : cfg_(cfg),
+      group_(shard_count(cfg), cfg.network.wire_latency(), cfg.shards) {
+  // Pre-size each shard's event heap for its steady-state population: every
+  // rank can have a few events in flight (NIC, disk queue, coroutine
+  // resume) plus per-server daemons.  Avoids heap regrowth pauses mid-run.
   const std::size_t client_events =
       static_cast<std::size_t>(cfg.client_nodes) *
           static_cast<std::size_t>(cfg.procs_per_node) * 4 +
       256;
-  const std::size_t server_events = 64;
-  const int group_size = cfg.shard_group_size < 1 ? 1 : cfg.shard_group_size;
-  // Model fork, not just speed: the sharded core runs the per-server board
-  // reporters and the barrier-grid sampler, so the two cores' gauges differ.
-  if (cfg.shards >= 1) {
-    // Sharded core: shard 0 = client + MDS side, shard 1 + i / group_size
-    // = data server i.  The logical structure is fixed by the topology and
-    // the grouping; cfg.shards only caps the worker-thread count, so any
-    // shards >= 1 produces byte-identical results for a fixed grouping.
-    // The barrier lookahead is the network wire latency — the minimum time
-    // any cross-shard interaction takes (ShardGroup rejects a non-positive
-    // lookahead, i.e. a zero-latency network).
-    const int groups =
-        cfg.data_servers == 0 ? 0 : (cfg.data_servers - 1) / group_size + 1;
-    const int logical = 1 + groups;
-    const int workers = cfg.shards < logical ? cfg.shards : logical;
-    group_ = std::make_unique<sim::ShardGroup>(
-        logical, cfg.network.wire_latency(), workers);
-    front_ = &group_->shard(0);
-    front_->reserve(client_events);
-    for (int k = 0; k < logical; ++k) sims_.push_back(&group_->shard(k));
-    for (int g = 0; g < groups; ++g) {
-      // Each group shard hosts up to `group_size` servers' event streams.
-      const int members = g == groups - 1
-                              ? cfg.data_servers - g * group_size
-                              : group_size;
-      group_->shard(1 + g).reserve(
-          static_cast<std::size_t>(members) * server_events + 256);
-    }
-  } else {
-    // Pre-size the event heap for the steady-state population: every rank
-    // can have a few events in flight (NIC, disk queue, coroutine resume)
-    // plus per-server daemons.  Avoids heap regrowth pauses mid-run.
-    sim_.reserve(client_events +
-                 static_cast<std::size_t>(cfg.data_servers) * server_events);
-    sims_.push_back(&sim_);
+  const auto shards = static_cast<std::size_t>(group_.shards());
+  std::vector<std::size_t> events(shards, 256);
+  events[0] = client_events;
+  for (int i = 0; i < cfg.data_servers; ++i) {
+    events[static_cast<std::size_t>(server_shard(cfg, i))] += 64;
   }
-  net_ = std::make_unique<net::NetworkModel>(*front_, cfg.network);
+  for (std::size_t k = 0; k < shards; ++k) {
+    group_.shard(static_cast<int>(k)).reserve(events[k]);
+  }
+  net_ = std::make_unique<net::NetworkModel>(sim(), cfg.network);
 
   storage::SeekProfile profile;
   if (cfg.server.ibridge.enabled) {
@@ -93,7 +91,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   servers_.reserve(static_cast<std::size_t>(cfg.data_servers));
   std::vector<pvfs::DataServer*> raw;
   for (int i = 0; i < cfg.data_servers; ++i) {
-    sim::Simulator& ssim = group_ ? group_->shard(1 + i / group_size) : sim_;
+    sim::Simulator& ssim = group_.shard(server_shard(cfg, i));
     net::Nic& nic = net_->add_endpoint("ds" + std::to_string(i), ssim);
     server_nics_.push_back(&nic);
     servers_.push_back(std::make_unique<pvfs::DataServer>(
@@ -103,7 +101,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
 
   mds_nic_ = &net_->add_endpoint("mds");
   mds_ = std::make_unique<pvfs::MetadataServer>(
-      *front_, raw, *mds_nic_, cfg.server.ibridge.t_report_interval);
+      sim(), raw, *mds_nic_, cfg.server.ibridge.t_report_interval);
   mds_->start_board_daemon();
 
   for (int i = 0; i < cfg.client_nodes; ++i) {
@@ -112,7 +110,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
 
   pvfs::ClientConfig cc = cfg.client;
   cc.procs_per_node = cfg.procs_per_node;
-  client_ = std::make_unique<pvfs::Client>(*front_, *mds_, raw, *net_,
+  client_ = std::make_unique<pvfs::Client>(sim(), *mds_, raw, *net_,
                                            client_nics_, cc);
 }
 
@@ -180,9 +178,9 @@ void Cluster::install_observer(core::CacheObserver* obs) {
 
 void Cluster::set_trace(obs::TraceSession* session) {
   // TraceSession appends to shared rings from every layer; it has no
-  // cross-shard story yet, so tracing requires the classic core.  (Kept
+  // cross-shard story yet, so tracing requires the one-shard layout.  (Kept
   // until spans get per-shard lanes: lifting it changes what tracing sees.)
-  assert(session == nullptr || group_ == nullptr);
+  assert(session == nullptr || sim().group() == nullptr);
   client_->set_trace(session);
   for (auto& s : servers_) s->set_trace(session);
 }
@@ -198,13 +196,14 @@ void Cluster::set_profiler(obs::SimProfiler* profiler) {
   // Interns categories — must precede lane creation (lanes size their
   // counters to the categories known at creation).
   for (auto& s : servers_) s->set_profiler(profiler);
-  // One lane per simulator: the single one on the classic core, one per
-  // shard on a group.  The profiler's accessors fan the lanes back in (see
-  // obs/profiler.hpp).
-  if (profiler != nullptr) profiler->set_lane_count(sims_.size());
-  for (std::size_t k = 0; k < sims_.size(); ++k) {
-    sims_[k]->set_step_hook(profiler == nullptr ? nullptr
-                                                : profiler->lane_hook(k));
+  // One lane per shard.  The profiler's accessors fan the lanes back in
+  // (see obs/profiler.hpp).
+  const auto shards = static_cast<std::size_t>(group_.shards());
+  if (profiler != nullptr) profiler->set_lane_count(shards);
+  for (std::size_t k = 0; k < shards; ++k) {
+    sim::StepHook* hook =
+        profiler == nullptr ? nullptr : profiler->lane_hook(k);
+    group_.shard(static_cast<int>(k)).set_step_hook(hook);
   }
 }
 
@@ -307,7 +306,7 @@ void Cluster::start_metrics_sampler(sim::SimTime interval,
   const std::uint64_t epoch = ++sampler_epoch_;
   // Model-visible fork: exact ticks here, barrier-grid samples below (which
   // may include up to one window of events past the grid point).
-  if (group_ == nullptr) {
+  if (sim().group() == nullptr) {
     schedule_sample(interval, out, epoch);
     return;
   }
@@ -317,8 +316,8 @@ void Cluster::start_metrics_sampler(sim::SimTime interval,
   // before the horizon has executed: each grid point is emitted, with its
   // grid timestamp, once the horizon passes it.  The horizon is a pure
   // function of the schedule, so the samples are worker-count invariant.
-  sampler_next_ = front_->now() + interval;
-  group_->set_barrier_hook([this, interval, out, epoch](sim::SimTime horizon) {
+  sampler_next_ = sim().now() + interval;
+  group_.set_barrier_hook([this, interval, out, epoch](sim::SimTime horizon) {
     if (!sampler_running_ || epoch != sampler_epoch_) return;
     while (sampler_next_ < horizon) {
       obs::MetricsRegistry reg;
@@ -332,16 +331,16 @@ void Cluster::start_metrics_sampler(sim::SimTime interval,
 void Cluster::stop_metrics_sampler() {
   sampler_running_ = false;
   ++sampler_epoch_;
-  if (group_ != nullptr) group_->set_barrier_hook(nullptr);
+  group_.set_barrier_hook(nullptr);
 }
 
 void Cluster::schedule_sample(sim::SimTime interval, obs::TimeSeries* out,
                               std::uint64_t epoch) {
-  sim_.schedule(interval, [this, interval, out, epoch] {
+  sim().schedule(interval, [this, interval, out, epoch] {
     if (!sampler_running_ || epoch != sampler_epoch_) return;
     obs::MetricsRegistry reg;
     collect_metrics(reg);
-    out->sample(sim_.now(), reg);
+    out->sample(sim().now(), reg);
     schedule_sample(interval, out, epoch);
   });
 }

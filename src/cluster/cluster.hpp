@@ -32,18 +32,21 @@ struct ClusterConfig {
   int client_nodes = 12;  ///< NICs on the client side
   int procs_per_node = 48;
 
-  /// 0 (default): classic single-threaded simulator — byte-identical to
-  /// every run before sharding existed.  >= 1: the sharded windowed core
-  /// (sim::ShardGroup): shard 0 runs the client/MDS side and shard
+  /// Picks the layout of the cluster's sim::ShardGroup and caps its worker
+  /// threads.  0 (default): one shard holds every component and one thread
+  /// runs it, checking run_while_pending predicates after every event.
+  /// >= 1: shard 0 runs the client/MDS side and shard
   /// 1 + i / shard_group_size runs data server i, with `shards` capping the
-  /// *worker thread* count.  The logical shard structure is fixed by the
-  /// topology and grouping, so results are byte-identical across every
-  /// `shards >= 1` setting; only wall-clock speed changes.  Requires
-  /// positive network latency (the barrier lookahead) — the constructor
-  /// throws std::invalid_argument otherwise.
+  /// *worker thread* count.  The sharded structure is fixed by the topology
+  /// and grouping, so results are byte-identical across every `shards >= 1`
+  /// setting; only wall-clock speed changes.  The two layouts are different
+  /// models (board shape, cross-shard transfers, sampler ticks), so their
+  /// gauges differ.  Every layout requires positive network latency (the
+  /// barrier lookahead) — the constructor throws std::invalid_argument
+  /// otherwise.
   int shards = 0;
 
-  /// Data servers per logical shard when sharded (clamped to >= 1).  With
+  /// Data servers per shard on the sharded layout (clamped to >= 1).  With
   /// G > 1 hundreds of servers map onto a handful of shards — the scale
   /// tier's memory/thread lever.  Grouping is part of the *configuration*
   /// (like the stripe unit): a fixed grouping is byte-identical across
@@ -74,14 +77,13 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
   ~Cluster();
 
-  /// The driver-facing simulator: shard 0 in a sharded cluster (where the
-  /// client, MDS and all run()-family entry points live), the single
-  /// simulator otherwise.  run()/run_while_pending() on it transparently
-  /// drive the whole shard group.
-  sim::Simulator& sim() { return *front_; }
+  /// Shard 0's simulator, where the client, the MDS and the run()-family
+  /// entry points live.  On the sharded layout
+  /// run()/run_while_pending() on it drive the whole shard group.
+  sim::Simulator& sim() { return group_.shard(0); }
 
-  /// The shard group, or nullptr for a classic single-threaded cluster.
-  sim::ShardGroup* shard_group() { return group_.get(); }
+  /// The shard group every layout runs on; never null.
+  sim::ShardGroup* shard_group() { return &group_; }
 
   pvfs::Client& client() { return *client_; }
   pvfs::MetadataServer& mds() { return *mds_; }
@@ -134,8 +136,8 @@ class Cluster {
 
   /// Snapshot collect_metrics() into `out` every `interval` of simulated
   /// time until drain() (or stop_metrics_sampler()) is called.  On the
-  /// classic core samples are exact simulated-time ticks.  On a sharded
-  /// cluster the sampler rides the ShardGroup barrier hook: each sample is
+  /// one-shard layout samples are exact simulated-time ticks.  With more
+  /// shards the sampler rides the ShardGroup barrier hook: each sample is
   /// emitted at its grid timestamp once the barrier horizon passes it, so
   /// counter values are those visible at that barrier (they may include up
   /// to one window of events past the grid point).  Both modes are
@@ -154,13 +156,10 @@ class Cluster {
                        std::uint64_t epoch);
 
   ClusterConfig cfg_;
-  sim::Simulator sim_;  ///< the classic single simulator (cfg.shards == 0)
-  std::unique_ptr<sim::ShardGroup> group_;  ///< set when cfg.shards >= 1
-  sim::Simulator* front_ = &sim_;           ///< shard 0 or sim_
-  std::vector<sim::Simulator*> sims_;       ///< sim_ alone, or every shard
+  sim::ShardGroup group_;
   bool sampler_running_ = false;
   std::uint64_t sampler_epoch_ = 0;
-  sim::SimTime sampler_next_ = sim::SimTime::zero();  ///< sharded grid cursor
+  sim::SimTime sampler_next_ = sim::SimTime::zero();  ///< barrier grid cursor
   std::unique_ptr<net::NetworkModel> net_;
   std::vector<net::Nic*> server_nics_;
   std::vector<net::Nic*> client_nics_;

@@ -132,7 +132,6 @@ class IBridgeCache {
   const MappingTable& table() const { return table_; }
   const SsdLog& log() const { return log_; }
   const IBridgeConfig& config() const { return cfg_; }
-  const ServiceTimeModel& service_model() const { return stm_; }
   const PartitionController& partition() const { return partition_; }
   const sim::Simulator& simulator() const { return sim_; }
   Bytes cached_bytes() const { return table_.bytes_cached(); }

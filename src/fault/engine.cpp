@@ -87,9 +87,9 @@ void FaultEngine::start() {
   if (started_) return;
   started_ = true;
   // Sharded actors run on their servers' shards; the TraceSession has no
-  // cross-shard story, so tracing an engine requires the classic core (kept
-  // until spans get per-shard lanes).
-  assert(trace_ == nullptr || cluster_.shard_group() == nullptr);
+  // cross-shard story, so tracing an engine requires the one-shard layout
+  // (kept until spans get per-shard lanes).
+  assert(trace_ == nullptr || cluster_.sim().group() == nullptr);
   for (int i = 0; i < cluster_.server_count(); ++i) {
     SsdFaultModel* m = models_[static_cast<std::size_t>(i)].get();
     if (m == nullptr) continue;

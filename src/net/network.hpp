@@ -37,7 +37,7 @@ struct NetworkParams {
 
   /// One-way wire cost: the minimum time any transfer spends between its
   /// source and destination NIC reservations.  This is the conservative
-  /// lookahead a sharded cluster derives its barrier window from.
+  /// lookahead a cluster's sim::ShardGroup derives its barrier window from.
   sim::SimTime wire_latency() const {
     return sim::SimTime::from_seconds((latency_us + per_message_us) / 1e6);
   }

@@ -194,7 +194,6 @@ class MetricsRegistry {
   void set_default_histogram_policy(HistogramPolicy p) {
     default_policy_ = p;
   }
-  HistogramPolicy default_histogram_policy() const { return default_policy_; }
 
   bool has(const std::string& name) const {
     return counters_.count(name) != 0 || gauges_.count(name) != 0 ||

@@ -3,9 +3,8 @@
 //
 // A SimProfiler observes simulators through its lanes: one ProfilerLane
 // per simulator, each a sim::StepHook owning its own attribution state and
-// counters.  Cluster::set_profiler creates one lane per simulator — one on
-// the classic core, one per shard on a sim::ShardGroup — and installs lane
-// k on simulator k.  Subsystems mark the running event with a category
+// counters.  Cluster::set_profiler creates one lane per shard of its
+// sim::ShardGroup and installs lane k on shard k.  Subsystems mark the running event with a category
 // ("client", "server", "cache", "disk", "ssd") through the same
 // null-guarded-pointer pattern as TraceSession; the first mark during an
 // event wins, so device-completion events are attributed to the device

@@ -119,7 +119,6 @@ class TraceSession {
   /// called before any span is recorded.
   void enable_flight_recorder(FlightConfig cfg = {});
   bool flight_mode() const { return flight_; }
-  const FlightConfig& flight_config() const { return flight_cfg_; }
 
   /// Allocate the id that links all spans of one client request.
   RequestId new_request() { return ++last_request_; }

@@ -69,8 +69,8 @@ class DataServer {
   sim::ServerId id() const { return id_; }
   net::Nic& nic() { return nic_; }
 
-  /// The simulator this server's events run on — its own shard in a
-  /// sharded cluster, the cluster-wide simulator otherwise.
+  /// The simulator this server's events run on — its shard of the
+  /// cluster's sim::ShardGroup (shard 0 on the one-shard layout).
   sim::Simulator& sim() { return sim_; }
 
   /// Create this server's datafile for a striped logical file.

@@ -21,7 +21,10 @@ ShardGroup::ShardGroup(int shards, SimTime lookahead, int workers)
   outbox_.resize(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     Simulator& s = sims_.emplace_back();
-    s.group_ = this;
+    // A lone shard has no cross-shard edge, so it stays ungrouped: its
+    // run() family is the Simulator's own loop, which checks a
+    // run_while_pending predicate after every event.
+    if (shards > 1) s.group_ = this;
     s.shard_id_ = static_cast<std::uint32_t>(i);
   }
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));

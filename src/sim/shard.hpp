@@ -2,12 +2,20 @@
 //
 // A ShardGroup binds N sim::Simulator instances ("shards") into one logical
 // simulation that can drain its event streams on multiple worker threads
-// while staying *byte-identical* at every worker count.  The intended carve
-// in this codebase (wired by cluster::Cluster): shard 0 owns the client/MPI
-// ranks, the metadata server, and all client-side NICs; shard 1+i owns data
-// server i's HDD/SSD/scheduler/cache event stream.  The network layer is the
-// only cross-shard boundary, which is what makes conservative lookahead
-// available: no message crosses shards faster than the minimum wire latency.
+// while staying *byte-identical* at every worker count.  Every
+// cluster::Cluster runs on one.  Its sharded layout: shard 0 owns the
+// client/MPI ranks, the metadata server, and all client-side NICs; shard
+// 1 + i / G owns data server i's HDD/SSD/scheduler/cache event stream (G
+// servers per shard).  The network layer is the only cross-shard boundary,
+// which is what makes conservative lookahead available: no message crosses
+// shards faster than the minimum wire latency.  Its one-shard layout puts
+// every component on shard 0.
+//
+// A lone shard has no cross-shard edge, so the constructor leaves it
+// ungrouped (its group() is nullptr): it runs the Simulator's own loops,
+// which check a run_while_pending predicate after every event.  Model code
+// that must know whether other shards exist keys on `sim.group() ==
+// nullptr`.
 //
 // Execution model (classic conservative windowing, specialized for a
 // fixed-topology star):
@@ -76,7 +84,8 @@ class ShardGroup {
   /// (clamped to [1, shards]; the calling thread is worker 0, so
   /// `workers - 1` pool threads are spawned).  `lookahead` must be
   /// positive — throws std::invalid_argument otherwise.  The worker count
-  /// affects wall-clock speed only, never the schedule.
+  /// affects wall-clock speed only, never the schedule.  With one shard,
+  /// shard(0).group() is nullptr (see the header comment).
   ShardGroup(int shards, SimTime lookahead, int workers);
   ~ShardGroup();
 

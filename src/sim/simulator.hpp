@@ -7,15 +7,15 @@
 // single-threaded and fully deterministic: two events scheduled for the same
 // tick fire in the order they were scheduled (FIFO by sequence number).
 //
-// Simulators can also be grouped into a sim::ShardGroup (sim/shard.hpp): each
-// member owns one shard of a larger model (one data server's device/cache
-// event stream) and drains its local queue on a worker thread inside
-// deterministic time windows.  A grouped simulator's run()-family entry
-// points transparently delegate to the group, so driver code written against
-// `sim().run_while_pending(...)` works unchanged whether the cluster is
-// sharded or not.  (That delegation stays while two cores exist: a grouped
-// run_while_pending checks its predicate only at barriers, which is
-// model-visible to drivers that stop on it.)
+// A cluster's simulators live in a sim::ShardGroup (sim/shard.hpp).  In a
+// group of two or more shards each member owns one shard of a larger model
+// (a few data servers' device/cache event streams) and drains its local
+// queue on a worker thread inside deterministic time windows; its
+// run()-family entry points delegate to the group, so workload code written
+// against `sim().run_while_pending(...)` works unchanged on every layout.
+// A grouped run_while_pending checks its predicate only at barriers, which
+// is model-visible to workloads that stop on it.  A lone shard stays
+// ungrouped and checks after every event, like a standalone simulator.
 //
 // Hot-path engineering (measured by bench/bench_simcore.cpp, design notes in
 // docs/PERF.md):
@@ -71,7 +71,8 @@ class Simulator {
 
   /// Shard index within the owning ShardGroup (0 for standalone sims).
   int shard_id() const { return static_cast<int>(shard_id_); }
-  /// The owning ShardGroup, or nullptr for a standalone simulator.
+  /// The owning ShardGroup, or nullptr for a standalone simulator or the
+  /// lone shard of a one-shard group.
   ShardGroup* group() const { return group_; }
 
   /// Pre-size the event heap for at least `n` concurrently pending events.
@@ -158,7 +159,7 @@ class Simulator {
   }
 
   /// Run until `done` returns true or the queue drains.  Returns true iff
-  /// the predicate was satisfied.  Standalone simulators check after every
+  /// the predicate was satisfied.  Ungrouped simulators check after every
   /// event; grouped simulators check at window barriers (the predicate must
   /// only read state written by event callbacks, which is exactly what the
   /// barrier synchronizes).

@@ -1,53 +1,11 @@
-// Throughput and service-time meters scraped by the benchmark harness.
+// Per-request service-time meter (DataServer::service_meter()).
 #pragma once
 
 #include "sim/time.hpp"
-#include "sim/units.hpp"
 #include "stats/histogram.hpp"
 #include "stats/sketch.hpp"
 
 namespace ibridge::stats {
-
-/// Measures aggregate data volume over a simulated interval.
-class ThroughputMeter {
- public:
-  void start(sim::SimTime now) {
-    start_ = now;
-    stop_ = now;
-    bytes_ = sim::Bytes::zero();
-    running_ = true;
-  }
-  void add_bytes(sim::Bytes b) { bytes_ += b; }
-  void stop(sim::SimTime now) {
-    stop_ = now;
-    running_ = false;
-  }
-
-  /// True between start() and stop().
-  bool running() const { return running_; }
-
-  sim::Bytes bytes() const { return bytes_; }
-
-  /// Measured interval.  Zero until stop() has been called — while the
-  /// meter is still running (or was never started) there is no defensible
-  /// elapsed value, and `stop_ - start_` of default-constructed SimTimes
-  /// would be meaningless.
-  sim::SimTime elapsed() const {
-    return running_ ? sim::SimTime::zero() : stop_ - start_;
-  }
-
-  /// MB/s with MB = 10^6 bytes (matching the paper's figures).
-  double mbps() const {
-    const double secs = elapsed().to_seconds();
-    return secs > 0 ? static_cast<double>(bytes_.count()) / 1e6 / secs : 0.0;
-  }
-
- private:
-  sim::SimTime start_;
-  sim::SimTime stop_;
-  sim::Bytes bytes_;
-  bool running_ = false;
-};
 
 /// Per-request service-time accumulator (Table III replay metric).  Tail
 /// latencies come from a bounded QuantileSketch, so per-server p50/p99 are

@@ -20,10 +20,6 @@ using stats::IoDirection;
 
 inline constexpr std::int64_t kSectorBytes = stats::kSectorBytes;
 
-inline constexpr std::int64_t bytes_to_sectors(std::int64_t bytes) {
-  return (bytes + kSectorBytes - 1) / kSectorBytes;
-}
-
 /// A single block-level request as submitted to a device queue.
 struct BlockRequest {
   IoDirection dir = IoDirection::kRead;

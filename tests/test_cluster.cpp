@@ -140,6 +140,29 @@ TEST(Cluster, ServerCountIsConfigurable) {
   EXPECT_EQ(c.mds().file(fh).layout.servers(), 3);
 }
 
+// One core: the default layout is a one-shard group whose lone shard is
+// `sim()` (ungrouped, so it checks predicates per event); the sharded
+// layout folds 8 servers three to a shard behind the front shard.
+TEST(Cluster, EveryLayoutRunsOnAShardGroup) {
+  Cluster c(ClusterConfig::stock());
+  ASSERT_NE(c.shard_group(), nullptr);
+  EXPECT_EQ(c.shard_group()->shards(), 1);
+  EXPECT_EQ(&c.sim(), &c.shard_group()->shard(0));
+  EXPECT_EQ(c.sim().group(), nullptr);
+
+  auto cc = ClusterConfig::stock();
+  cc.data_servers = 8;
+  cc.shards = 2;
+  cc.shard_group_size = 3;
+  Cluster sharded(cc);
+  ASSERT_NE(sharded.shard_group(), nullptr);
+  EXPECT_EQ(sharded.shard_group()->shards(), 4);
+  EXPECT_EQ(sharded.shard_group()->workers(), 2);
+  EXPECT_EQ(&sharded.sim(), &sharded.shard_group()->shard(0));
+  EXPECT_EQ(sharded.sim().group(), sharded.shard_group());
+  EXPECT_EQ(&sharded.server(7).sim(), &sharded.shard_group()->shard(3));
+}
+
 // Shard groups at the cluster level: many servers fold onto a handful of
 // shards, and the result is still a pure function of the configuration —
 // byte-identical across worker counts.

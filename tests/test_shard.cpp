@@ -55,6 +55,24 @@ TEST(ShardGroup, StandaloneSimulatorHasNoGroup) {
   ShardGroup g(2, kW, 1);
   EXPECT_EQ(g.shard(1).group(), &g);
   EXPECT_EQ(g.shard(1).shard_id(), 1);
+  // A lone shard has no cross-shard edge, so it stays ungrouped.
+  ShardGroup g1(1, kW, 1);
+  EXPECT_EQ(g1.shard(0).group(), nullptr);
+}
+
+// An ungrouped lone shard runs the Simulator's own loop: the predicate is
+// checked after every event, not once per W-wide window (which would run
+// all three events here).
+TEST(ShardGroup, LoneShardChecksPredicatePerEvent) {
+  ShardGroup g(1, kW, 1);
+  Simulator& s = g.shard(0);
+  int n = 0;
+  for (int t = 1; t <= 3; ++t) {
+    s.schedule_at(SimTime::nanos(t), InlineEvent([&] { ++n; }));
+  }
+  EXPECT_TRUE(s.run_while_pending([&] { return n == 1; }));
+  EXPECT_EQ(n, 1);
+  EXPECT_EQ(s.now(), SimTime::nanos(1));
 }
 
 // An event scheduled exactly at a window's end must NOT run inside that
@@ -204,8 +222,8 @@ TEST(ShardGroup, HopMovesCoroutineAcrossShards) {
   EXPECT_EQ(times[2], kW.ns() + SimTime::micros(7).ns() + kW.ns());
 }
 
-// On a standalone simulator (the classic core) hop(s, s) is the same no-op:
-// the coroutine does not suspend and no event is scheduled.
+// On an ungrouped simulator (standalone, or a lone shard) hop(s, s) is the
+// same no-op: the coroutine does not suspend and no event is scheduled.
 TEST(ShardGroup, HopOnStandaloneSimulatorDoesNotSuspend) {
   Simulator s;
   bool done = false;
@@ -414,7 +432,7 @@ CaseDigests digests_at(FuzzCase c, int shards) {
 // byte-identical digests at every shard/worker count >= 1, healthy and
 // under mixed fault injection.  Every other iteration also turns on shard
 // groups (several servers per shard) — the grouped configuration must be
-// just as worker-count invariant as the classic one.
+// just as worker-count invariant as the ungrouped one.
 // (ctest -L fuzz scales the fleet up.)
 TEST(ShardFuzz, DifferentialDigestsInvariantUnderShardCount) {
   const int iters = std::max(3, fuzz_iterations(200) / 40);

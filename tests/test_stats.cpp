@@ -149,34 +149,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::fmt("%lld", 7LL), "7");
 }
 
-TEST(ThroughputMeter, ComputesDecimalMbps) {
-  ThroughputMeter m;
-  m.start(sim::SimTime::zero());
-  m.add_bytes(sim::Bytes{10'000'000});
-  m.stop(sim::SimTime::seconds(2));
-  EXPECT_DOUBLE_EQ(m.mbps(), 5.0);
-  EXPECT_EQ(m.bytes(), sim::Bytes{10'000'000});
-}
-
-TEST(ThroughputMeter, ElapsedGuardedWhileRunning) {
-  ThroughputMeter m;
-  // Never started: no defensible interval.
-  EXPECT_FALSE(m.running());
-  EXPECT_EQ(m.elapsed(), sim::SimTime::zero());
-  EXPECT_DOUBLE_EQ(m.mbps(), 0.0);
-
-  m.start(sim::SimTime::millis(5));
-  m.add_bytes(sim::Bytes{1024});
-  // Still running: elapsed stays zero instead of `now - start` garbage.
-  EXPECT_TRUE(m.running());
-  EXPECT_EQ(m.elapsed(), sim::SimTime::zero());
-  EXPECT_DOUBLE_EQ(m.mbps(), 0.0);
-
-  m.stop(sim::SimTime::millis(7));
-  EXPECT_FALSE(m.running());
-  EXPECT_EQ(m.elapsed(), sim::SimTime::millis(2));
-}
-
 TEST(Histogram, EmptyPercentilesAreZero) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);

@@ -17,13 +17,13 @@
 // --digests, byte-identical replay including the fault digest — is enforced
 // under injected failures too.
 //
-// --shards K runs every cluster on the sharded parallel simulation core
-// with up to K worker threads (0, the default, keeps the classic
-// single-queue core).  The sharded core is deterministic by construction —
-// the window schedule and barrier merge order never depend on the worker
-// count — so the --digests file must be byte-identical across every K >= 1,
-// healthy and under --faults alike, which is exactly what the CI
-// shard-digest-identity job asserts.
+// --shards K runs every cluster on the sharded layout of its
+// sim::ShardGroup with up to K worker threads (0, the default, keeps the
+// one-shard layout: one simulator, one thread).  The sharded layout is
+// deterministic by construction — the window schedule and barrier merge
+// order never depend on the worker count — so the --digests file must be
+// byte-identical across every K >= 1, healthy and under --faults alike,
+// which is exactly what the CI shard-digest-identity job asserts.
 //
 // --group-size G maps G data servers onto each logical shard (the
 // scale-campaign configuration).  G is part of the *configuration*: at any
